@@ -432,7 +432,6 @@ int main(int Argc, char **Argv) {
     ServerConfig.Query.Limits.TimeoutSeconds = Options.TimeoutSeconds;
     ServerConfig.Query.Limits.MaxCacheBytes = Serving.CacheBytes;
     ServerConfig.Query.FrontierJobs = Serving.FrontierJobs;
-    ServerConfig.Query.SplitJobs = Serving.SplitJobs;
     ServerConfig.Query.DeltaSlack = Serving.DeltaSlack;
     ServerConfig.Jobs = Serving.Jobs;
     ServerConfig.Store = Store;
@@ -495,7 +494,6 @@ int main(int Argc, char **Argv) {
     ServerConfig.Query.Limits.TimeoutSeconds = Options.TimeoutSeconds;
     ServerConfig.Query.Limits.MaxCacheBytes = Serving.CacheBytes;
     ServerConfig.Query.FrontierJobs = Serving.FrontierJobs;
-    ServerConfig.Query.SplitJobs = Serving.SplitJobs;
     ServerConfig.Query.DeltaSlack = Serving.DeltaSlack;
     ServerConfig.Jobs = Serving.Jobs;
     ServerConfig.Store = Store;
@@ -576,7 +574,6 @@ int main(int Argc, char **Argv) {
   Config.Limits.TimeoutSeconds = Options.TimeoutSeconds;
   Config.Limits.MaxCacheBytes = Serving.CacheBytes;
   Config.FrontierJobs = Serving.FrontierJobs;
-  Config.SplitJobs = Serving.SplitJobs;
   Config.DeltaSlack = Serving.DeltaSlack;
   // The one-shot and --all modes reuse the same composed store: a
   // RAM-only cache is pointless for a one-shot batch with distinct rows
@@ -585,11 +582,10 @@ int main(int Argc, char **Argv) {
   // same query answers from disk.
   if (Store)
     Config.Cache = Store;
-  // One pool shared by every query of the process and by both in-query
-  // fan-out levels (it outlives the verify/verifyBatch calls below);
-  // null when --frontier-jobs and --split-jobs are both 1.
-  std::unique_ptr<ThreadPool> FrontierPool = makeVerificationPool(
-      sharedFanoutJobs(Serving.FrontierJobs, Serving.SplitJobs));
+  // One frontier pool shared by every query of the process (it outlives
+  // the verify/verifyBatch calls below); null when --frontier-jobs is 1.
+  std::unique_ptr<ThreadPool> FrontierPool =
+      makeVerificationPool(Serving.FrontierJobs);
   Config.FrontierPool = FrontierPool.get();
 
   if (Options.AllRows) {
@@ -598,7 +594,7 @@ int main(int Argc, char **Argv) {
       Inputs.push_back(Test.row(Row));
     std::unique_ptr<ThreadPool> Pool = makeVerificationPool(Serving.Jobs);
     std::printf("verifying %zu test rows on %u thread(s), %u shared "
-                "frontier/split executor(s) per query\n",
+                "frontier executor(s) per query\n",
                 Inputs.size(), Pool ? Pool->size() + 1 : 1,
                 FrontierPool ? FrontierPool->size() + 1 : 1);
     std::vector<Certificate> Certs =

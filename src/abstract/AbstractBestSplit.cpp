@@ -103,8 +103,7 @@ antidote::abstractBestSplit(const SplitContext &Ctx,
                             const AbstractDataset &Data,
                             CprobTransformerKind Kind,
                             GiniLiftingKind Lifting,
-                            const ResourceMeter *Meter, ThreadPool *Pool,
-                            unsigned SplitJobs) {
+                            const ResourceMeter *Meter) {
   assert(!Data.isEmptySet() && "bestSplit# of the empty abstract set");
   // An already-tripped meter means the caller is winding down: answer
   // nullopt deterministically instead of letting a small candidate set
@@ -129,29 +128,9 @@ antidote::abstractBestSplit(const SplitContext &Ctx,
   };
 
   bool TrippedMeter = false;
-  bool Sharded = Pool && Pool->size() > 0 && SplitJobs != 1 && NumFeatures > 1;
-  if (Sharded) {
-    unsigned Jobs = SplitJobs == 0 ? ThreadPool::hardwareConcurrency()
-                                   : SplitJobs;
-    // Chunk size 1: per-feature costs are wildly uneven (a boolean feature
-    // contributes one candidate, a dense real feature thousands), and at
-    // feature-count granularity the cursor traffic is negligible.
-    OrderedFanout Fanout(Pool, NumFeatures, /*ChunkSize=*/1, Score,
-                         /*WindowChunks=*/0, /*MaxHelpers=*/Jobs - 1);
-    for (unsigned F = 0; F < NumFeatures; ++F) {
-      Fanout.awaitItem(F);
-      if (Shards[F].Interrupted) {
-        // Stop paying for shards that will be discarded anyway.
-        Fanout.cancelRemaining();
-        TrippedMeter = true;
-        break;
-      }
-    }
-  } else {
-    for (unsigned F = 0; F < NumFeatures && !TrippedMeter; ++F) {
-      Score(F);
-      TrippedMeter = Shards[F].Interrupted;
-    }
+  for (unsigned F = 0; F < NumFeatures && !TrippedMeter; ++F) {
+    Score(F);
+    TrippedMeter = Shards[F].Interrupted;
   }
 
   // A truncated enumeration must not leak: deciding ⋄-membership or the

@@ -40,7 +40,7 @@ public:
   void add(const SplitPredicate &Pred) { Preds.push_back(Pred); }
   void addNull() { HasNull = true; }
 
-  /// Pre-sizes for \p Count bulk adds (the sharded bestSplit# fold knows
+  /// Pre-sizes for \p Count bulk adds (the per-feature bestSplit# fold knows
   /// its candidate total up front).
   void reserve(size_t Count) { Preds.reserve(Count); }
 

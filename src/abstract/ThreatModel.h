@@ -22,7 +22,7 @@
 ///     interval predicates for removal, concrete midpoints for flips
 ///     (so `AbstractDataset::restrict`'s equation (1) applies verbatim),
 ///
-/// so `AbstractDTrace`'s engine — FrontierJobs/SplitJobs fan-out,
+/// so `AbstractDTrace`'s engine — FrontierJobs fan-out,
 /// ResourceMeter accounting, cooperative cancellation, domination
 /// tracking — is shared by every model. Both models share the abstract
 /// state ⟨T, n⟩ (`AbstractDataset`): removal reads it as "any subset
@@ -49,7 +49,6 @@
 #include "abstract/PredicateSet.h"
 #include "concrete/BestSplit.h"
 #include "support/Budget.h"
-#include "support/ThreadPool.h"
 
 #include <optional>
 
@@ -119,8 +118,7 @@ public:
   virtual std::optional<PredicateSet>
   bestSplit(const SplitContext &Ctx, const AbstractDataset &Cur,
             CprobTransformerKind Cprob, GiniLiftingKind Gini,
-            const ResourceMeter *Meter, ThreadPool *Pool,
-            unsigned SplitJobs) const = 0;
+            const ResourceMeter *Meter) const = 0;
 };
 
 /// The process-wide singleton for \p Kind.

@@ -84,18 +84,15 @@ struct ConcreteShard {
 } // namespace
 
 std::optional<SplitPredicate> antidote::bestSplit(const SplitContext &Ctx,
-                                                  const RowIndexList &Rows,
-                                                  ThreadPool *Pool,
-                                                  unsigned SplitJobs) {
+                                                  const RowIndexList &Rows) {
   std::vector<uint32_t> Totals = classCounts(Ctx.base(), Rows);
   uint32_t Total = static_cast<uint32_t>(Rows.size());
   unsigned NumFeatures = Ctx.base().numFeatures();
   SplitEnumerationPrepass Pre(Ctx, Rows);
   std::vector<ConcreteShard> Shards(NumFeatures);
 
-  // Scores feature F into Out. Per-executor scratch, reused across
-  // features: workers and the calling thread each keep their own pair, so
-  // a sharded scan allocates nothing per feature.
+  // Scores feature F into Out. Per-thread scratch, reused across features
+  // and calls, so the scan allocates nothing per feature.
   auto ScoreFeature = [&](size_t F) {
     thread_local std::vector<uint32_t> PosScratch;
     thread_local std::vector<uint32_t> NegScratch;
@@ -120,18 +117,8 @@ std::optional<SplitPredicate> antidote::bestSplit(const SplitContext &Ctx,
         });
   };
 
-  bool Sharded = Pool && Pool->size() > 0 && SplitJobs != 1 && NumFeatures > 1;
-  if (Sharded) {
-    unsigned Jobs = SplitJobs == 0 ? ThreadPool::hardwareConcurrency()
-                                   : SplitJobs;
-    OrderedFanout Fanout(Pool, NumFeatures, /*ChunkSize=*/1, ScoreFeature,
-                         /*WindowChunks=*/0, /*MaxHelpers=*/Jobs - 1);
-    for (unsigned F = 0; F < NumFeatures; ++F)
-      Fanout.awaitItem(F);
-  } else {
-    for (unsigned F = 0; F < NumFeatures; ++F)
-      ScoreFeature(F);
-  }
+  for (unsigned F = 0; F < NumFeatures; ++F)
+    ScoreFeature(F);
 
   // Fold the per-feature argmins in feature-index order with the same
   // strict improvement test: the first feature attaining the global

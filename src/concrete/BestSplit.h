@@ -14,8 +14,8 @@
 /// the midpoint (a+b)/2 (`DTraceR`, §5.1); the abstract learner considers
 /// the symbolic interval [a, b) for the same pairs (Appendix B.2). Both the
 /// concrete and abstract `bestSplit` operators therefore share one
-/// enumerator, split into two layers so candidate scoring can shard across
-/// threads *per feature*:
+/// enumerator, split into two layers so candidate scoring runs *per
+/// feature*:
 ///
 ///  - `SplitEnumerationPrepass` — the read-only state every per-feature
 ///    pass needs (the row-membership mask and, for boolean features, the
@@ -26,8 +26,8 @@
 ///    ascending threshold order. Distinct features touch disjoint state,
 ///    so per-feature calls are safe to run on different threads, and
 ///    concatenating their emissions in feature-index order replays exactly
-///    the serial enumeration order — the property the sharded `bestSplit` /
-///    `bestSplit#` implementations rely on for bit-identical results.
+///    the serial enumeration order — the property the per-feature
+///    `bestSplit` / `bestSplit#` folds rely on for bit-identical results.
 ///  - `forEachCandidateSplit` — the serial composition of the two, kept as
 ///    the single-threaded entry point.
 ///
@@ -51,7 +51,6 @@
 #include "concrete/Gini.h"
 #include "concrete/Predicate.h"
 #include "data/Dataset.h"
-#include "support/ThreadPool.h"
 
 #include <optional>
 
@@ -250,16 +249,8 @@ void forEachCandidateSplit(const SplitContext &Ctx, const RowIndexList &Rows,
 /// `score`, or `std::nullopt` for ⋄ when no such predicate exists. Ties are
 /// broken toward the smallest (feature, threshold); the paper leaves them
 /// nondeterministic (see DESIGN.md §5).
-///
-/// With \p Pool and `SplitJobs != 1` the per-feature scoring passes shard
-/// onto the pool (`SplitJobs` caps the executors recruited, 0 = one per
-/// hardware thread); the per-shard argmins fold in feature-index order
-/// with a strict improvement test, so the winner is bit-identical to the
-/// serial scan for every job count.
 std::optional<SplitPredicate> bestSplit(const SplitContext &Ctx,
-                                        const RowIndexList &Rows,
-                                        ThreadPool *Pool = nullptr,
-                                        unsigned SplitJobs = 1);
+                                        const RowIndexList &Rows);
 
 /// Rows of \p Rows on the requested side of a concrete predicate. The
 /// predicate must not be symbolic.

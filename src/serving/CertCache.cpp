@@ -42,7 +42,7 @@ bool CertCache::lookup(const DatasetFingerprint &Data, const float *X,
     return true;
   }
   // Exact miss: radius-range probe.
-  if (const StoreKey *Found = findRangeLocked(K, PoisoningBudget)) {
+  if (const StoreKey *Found = RangeIndex.find(K, PoisoningBudget)) {
     auto EIt = Entries.find(*Found);
     assert(EIt != Entries.end() && "range index out of lockstep");
     Lru.splice(Lru.begin(), Lru, EIt->second.LruIt);
@@ -57,29 +57,12 @@ bool CertCache::lookup(const DatasetFingerprint &Data, const float *X,
   return false;
 }
 
-const StoreKey *CertCache::findRangeLocked(const StoreKey &K,
-                                           uint32_t PoisoningBudget) const {
-  // Prefer Robust (the informative verdict): the tightest stored proof
-  // at radius >= n; else fall back to the widest failed attempt at
-  // radius <= n.
-  auto RIt = RangeIndex.find(rangeBaseKey(K));
-  if (RIt == RangeIndex.end())
-    return nullptr;
-  auto Rob = RIt->second.Robust.lower_bound(PoisoningBudget);
-  if (Rob != RIt->second.Robust.end())
-    return Rob->second;
-  auto Unk = RIt->second.Unknown.upper_bound(PoisoningBudget);
-  if (Unk != RIt->second.Unknown.begin())
-    return std::prev(Unk)->second;
-  return nullptr;
-}
-
 bool CertCache::rangeLookup(const DatasetFingerprint &Data, const float *X,
                             unsigned NumFeatures, uint32_t PoisoningBudget,
                             const VerifierConfig &Config, Certificate &Out) {
   StoreKey K = makeStoreKey(Data, X, NumFeatures, PoisoningBudget, Config);
   std::lock_guard<std::mutex> Guard(Mutex);
-  const StoreKey *Found = findRangeLocked(K, PoisoningBudget);
+  const StoreKey *Found = RangeIndex.find(K, PoisoningBudget);
   if (!Found)
     return false;
   auto EIt = Entries.find(*Found);
@@ -111,7 +94,7 @@ void CertCache::store(const DatasetFingerprint &Data, const float *X,
   It->second.Cert = Cert;
   It->second.Bytes = Bytes;
   It->second.LruIt = Lru.begin();
-  registerRangeLocked(It->first, Cert);
+  RangeIndex.add(It->first, Cert.Kind, Cert.CertifiedRadius);
   Stats.LiveBytes += Bytes;
   ++Stats.LiveRecords;
   ++Stats.Stores;
@@ -120,40 +103,12 @@ void CertCache::store(const DatasetFingerprint &Data, const float *X,
       evictOneLocked();
 }
 
-void CertCache::registerRangeLocked(const StoreKey &K,
-                                    const Certificate &Cert) {
-  // Only original proofs enter the range index (see RangeSlot): a
-  // promotion of a range-served answer carries a CertifiedRadius
-  // different from its key's budget and is exact-serving only.
-  if (Cert.CertifiedRadius != K.PoisoningBudget)
-    return;
-  RangeSlot &Slot = RangeIndex[rangeBaseKey(K)];
-  if (Cert.Kind == VerdictKind::Robust)
-    Slot.Robust.emplace(Cert.CertifiedRadius, &K);
-  else if (Cert.Kind == VerdictKind::Unknown)
-    Slot.Unknown.emplace(Cert.CertifiedRadius, &K);
-}
-
-void CertCache::unregisterRangeLocked(const StoreKey &K,
-                                      const Certificate &Cert) {
-  if (Cert.CertifiedRadius != K.PoisoningBudget)
-    return;
-  auto RIt = RangeIndex.find(rangeBaseKey(K));
-  if (RIt == RangeIndex.end())
-    return;
-  if (Cert.Kind == VerdictKind::Robust)
-    RIt->second.Robust.erase(Cert.CertifiedRadius);
-  else if (Cert.Kind == VerdictKind::Unknown)
-    RIt->second.Unknown.erase(Cert.CertifiedRadius);
-  if (RIt->second.Robust.empty() && RIt->second.Unknown.empty())
-    RangeIndex.erase(RIt);
-}
-
 void CertCache::evictOneLocked() {
   const StoreKey *Victim = Lru.back();
   Lru.pop_back();
   auto It = Entries.find(*Victim);
-  unregisterRangeLocked(It->first, It->second.Cert);
+  RangeIndex.remove(It->first, It->second.Cert.Kind,
+                    It->second.Cert.CertifiedRadius);
   Stats.LiveBytes -= It->second.Bytes;
   --Stats.LiveRecords;
   ++Stats.Evictions;

@@ -55,7 +55,6 @@
 #include "serving/StoreKey.h"
 
 #include <list>
-#include <map>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -117,24 +116,8 @@ private:
     std::list<const StoreKey *>::iterator LruIt;
   };
 
-  /// Radius-ordered views of the entries sharing one budget-agnostic
-  /// base key (serving/StoreKey.h `rangeBaseKey`): proof radius ->
-  /// the entry's map key. Only *original* proofs — entries whose
-  /// `CertifiedRadius` equals their key's budget — are registered, so
-  /// a radius names at most one entry (a range-served promotion keyed
-  /// under the queried budget would alias the original's radius and
-  /// adds no serving power the original lacks).
-  struct RangeSlot {
-    std::map<uint32_t, const StoreKey *> Robust;  ///< Serve n <= radius.
-    std::map<uint32_t, const StoreKey *> Unknown; ///< Serve n >= radius.
-  };
-
   /// Pops the LRU tail. Caller holds the mutex.
   void evictOneLocked();
-
-  /// Range-index maintenance for one entry; callers hold the mutex.
-  void registerRangeLocked(const StoreKey &K, const Certificate &Cert);
-  void unregisterRangeLocked(const StoreKey &K, const Certificate &Cert);
 
   const uint64_t MaxBytes;
 
@@ -143,16 +126,10 @@ private:
   /// (unordered_map never moves its elements, only its buckets).
   std::list<const StoreKey *> Lru;
   std::unordered_map<StoreKey, Slot, StoreKeyHash> Entries;
-  /// Base key (budget zeroed) -> radius-sorted entry views; kept in
+  /// Radius-sorted views of `Entries`' original proofs; kept in
   /// lockstep with `Entries` by store/evict/clear.
-  std::unordered_map<StoreKey, RangeSlot, StoreKeyHash> RangeIndex;
+  RadiusIndex RangeIndex;
   StoreStats Stats;
-
-  /// The range-rule resolution `lookup` and `rangeLookup` share: the
-  /// serving entry for \p K's base key at budget \p PoisoningBudget, or
-  /// null. Caller holds the mutex.
-  const StoreKey *findRangeLocked(const StoreKey &K,
-                                  uint32_t PoisoningBudget) const;
 };
 
 } // namespace antidote

@@ -16,8 +16,7 @@ using namespace antidote;
 CertServer::CertServer(const Dataset &Train, const CertServerConfig &Config)
     : Config(Config), V(Train),
       BatchPool(makeVerificationPool(Config.Jobs)),
-      FrontierPool(makeVerificationPool(sharedFanoutJobs(
-          Config.Query.FrontierJobs, Config.Query.SplitJobs))) {
+      FrontierPool(makeVerificationPool(Config.Query.FrontierJobs)) {
   // The server owns the long-lived halves of the query config; whatever
   // the caller put there is replaced. The store is taken as configured —
   // abstract, already composed by the wiring layer.

@@ -81,7 +81,7 @@ namespace antidote {
 struct CertServerConfig {
   /// Per-query verification parameters, shared by every request: depth,
   /// domain, per-query `Limits` (whose `MaxCacheBytes` also sizes the
-  /// server's cache), and the in-query FrontierJobs/SplitJobs knobs.
+  /// server's cache), and the in-query FrontierJobs knob.
   /// `FrontierPool`, `Cache`, and `Cancel` are overwritten by the server
   /// with its own long-lived instances (`Cancel` is the `abort()` lever).
   VerifierConfig Query;

@@ -595,7 +595,7 @@ bool DiskCertStore::loadLocked(std::string &Error,
           Ref.CertifiedRadius = Cert.CertifiedRadius;
           auto [It, Inserted] = Index.try_emplace(std::move(Key), Ref);
           if (Inserted) {
-            registerRangeLocked(It->first, Ref);
+            RangeIndex.add(It->first, Ref.Kind, Ref.CertifiedRadius);
             ++Stats.LiveRecords;
             Stats.LiveBytes += RecordHeaderBytes + PayloadBytes;
           } else {
@@ -803,7 +803,7 @@ void DiskCertStore::ingestJournalEntryLocked(const StoreJournal::Entry &E) {
   Ref.CertifiedRadius = Cert.CertifiedRadius;
   auto [It, Inserted] = Index.try_emplace(std::move(Key), Ref);
   if (Inserted) {
-    registerRangeLocked(It->first, Ref);
+    RangeIndex.add(It->first, Ref.Kind, Ref.CertifiedRadius);
     ++Stats.LiveRecords;
     Stats.LiveBytes += E.RecordBytes;
   } else {
@@ -869,43 +869,14 @@ bool DiskCertStore::maybeRefreshIndexLocked() {
   return true;
 }
 
-void DiskCertStore::registerRangeLocked(const StoreKey &K,
-                                        const RecordRef &Ref) {
-  // Only original proofs enter the range index — same rule as the RAM
-  // tier (serving/CertCache.cpp): a write-through of a range- or
-  // slack-served answer has CertifiedRadius != budget and serves its
-  // exact key only.
-  if (Ref.CertifiedRadius != K.PoisoningBudget)
-    return;
-  RangeSlot &Slot = RangeIndex[rangeBaseKey(K)];
-  if (Ref.Kind == VerdictKind::Robust)
-    Slot.Robust.emplace(Ref.CertifiedRadius, &K);
-  else if (Ref.Kind == VerdictKind::Unknown)
-    Slot.Unknown.emplace(Ref.CertifiedRadius, &K);
-}
-
-void DiskCertStore::unregisterRangeLocked(const StoreKey &K,
-                                          const RecordRef &Ref) {
-  if (Ref.CertifiedRadius != K.PoisoningBudget)
-    return;
-  auto RIt = RangeIndex.find(rangeBaseKey(K));
-  if (RIt == RangeIndex.end())
-    return;
-  if (Ref.Kind == VerdictKind::Robust)
-    RIt->second.Robust.erase(Ref.CertifiedRadius);
-  else if (Ref.Kind == VerdictKind::Unknown)
-    RIt->second.Unknown.erase(Ref.CertifiedRadius);
-  if (RIt->second.Robust.empty() && RIt->second.Unknown.empty())
-    RangeIndex.erase(RIt);
-}
-
 void DiskCertStore::dropDeadEntryLocked(
     std::unordered_map<StoreKey, RecordRef, StoreKeyHash>::iterator It) {
   // Permanently unreadable or not the record we indexed: drop the
   // dead entry — leaving it would also make `store` decline the
   // re-verified certificate as a "duplicate", pinning the key in a
   // never-served state for the rest of the process.
-  unregisterRangeLocked(It->first, It->second);
+  RangeIndex.remove(It->first, It->second.Kind,
+                    It->second.CertifiedRadius);
   Stats.LiveBytes -= std::min<uint64_t>(
       Stats.LiveBytes, RecordHeaderBytes + It->second.PayloadBytes);
   --Stats.LiveRecords;
@@ -918,26 +889,12 @@ bool DiskCertStore::lookupLocked(const StoreKey &K, uint32_t PoisoningBudget,
   auto It = RangeOnly ? Index.end() : Index.find(K);
   bool Ranged = false;
   if (It == Index.end()) {
-    // Exact miss (or range-only probe): radius-range resolution, same
-    // preference order as the RAM tier — the tightest stored Robust
-    // proof at radius >= n, else the widest failed attempt at
-    // radius <= n.
-    auto RIt = RangeIndex.find(rangeBaseKey(K));
-    if (RIt != RangeIndex.end()) {
-      const StoreKey *Found = nullptr;
-      auto Rob = RIt->second.Robust.lower_bound(PoisoningBudget);
-      if (Rob != RIt->second.Robust.end()) {
-        Found = Rob->second;
-      } else {
-        auto Unk = RIt->second.Unknown.upper_bound(PoisoningBudget);
-        if (Unk != RIt->second.Unknown.begin())
-          Found = std::prev(Unk)->second;
-      }
-      if (Found) {
-        It = Index.find(*Found);
-        assert(It != Index.end() && "range index out of lockstep");
-        Ranged = true;
-      }
+    // Exact miss (or range-only probe): radius-range resolution, the
+    // same rule as the RAM tier's (serving/StoreKey.h `RadiusIndex`).
+    if (const StoreKey *Found = RangeIndex.find(K, PoisoningBudget)) {
+      It = Index.find(*Found);
+      assert(It != Index.end() && "range index out of lockstep");
+      Ranged = true;
     }
     if (It == Index.end())
       return false;
@@ -1132,7 +1089,7 @@ void DiskCertStore::store(const DatasetFingerprint &Data, const float *X,
   Ref.CertifiedRadius = Cert.CertifiedRadius;
   auto [It, Inserted] = Index.emplace(std::move(K), Ref);
   if (Inserted)
-    registerRangeLocked(It->first, Ref);
+    RangeIndex.add(It->first, Ref.Kind, Ref.CertifiedRadius);
   ++Stats.Stores;
   ++Stats.LiveRecords;
   Stats.LiveBytes += Record.size();
@@ -1162,7 +1119,8 @@ void DiskCertStore::applyRetentionLocked() {
     uint32_t Victim = KnownSegments.front();
     for (auto It = Index.begin(); It != Index.end();) {
       if (It->second.Segment == Victim) {
-        unregisterRangeLocked(It->first, It->second);
+        RangeIndex.remove(It->first, It->second.Kind,
+                          It->second.CertifiedRadius);
         Stats.LiveBytes -= std::min<uint64_t>(
             Stats.LiveBytes, RecordHeaderBytes + It->second.PayloadBytes);
         --Stats.LiveRecords;
@@ -1311,7 +1269,7 @@ bool DiskCertStore::compact(std::string *Error) {
   Index = std::move(NewIndex);
   RangeIndex.clear();
   for (const auto &[Key, Ref] : Index)
-    registerRangeLocked(Key, Ref);
+    RangeIndex.add(Key, Ref.Kind, Ref.CertifiedRadius);
   KnownSegments = {NewSegment};
   SegmentBytes.clear();
   SegmentBytes[NewSegment] = NewBytes;
@@ -1421,7 +1379,7 @@ DiskCertStore::applyReplicatedRecord(const uint8_t *Data, size_t Size) {
   Ref.CertifiedRadius = Cert.CertifiedRadius;
   auto [It, Inserted] = Index.emplace(std::move(Key), Ref);
   if (Inserted)
-    registerRangeLocked(It->first, Ref);
+    RangeIndex.add(It->first, Ref.Kind, Ref.CertifiedRadius);
   ++Stats.Stores;
   ++Stats.LiveRecords;
   Stats.LiveBytes += Size;

@@ -247,15 +247,6 @@ private:
     uint32_t CertifiedRadius = 0;
   };
 
-  /// Radius-ordered views of the records sharing one budget-agnostic
-  /// base key — the same structure (and registration rule: original
-  /// proofs only, radius == key budget) as the RAM tier's; see
-  /// serving/CertCache.h `RangeSlot`.
-  struct RangeSlot {
-    std::map<uint32_t, const StoreKey *> Robust;
-    std::map<uint32_t, const StoreKey *> Unknown;
-  };
-
   DiskCertStore(std::string Dir, const DiskCertStoreOptions &Options)
       : Dir(std::move(Dir)), Options(Options) {}
 
@@ -351,11 +342,6 @@ private:
 
   void closeFdsLocked();
 
-  /// Range-index maintenance for one index entry (\p K must point into
-  /// `Index`); callers hold the mutex.
-  void registerRangeLocked(const StoreKey &K, const RecordRef &Ref);
-  void unregisterRangeLocked(const StoreKey &K, const RecordRef &Ref);
-
   /// Drops a permanently unreadable index entry (stats + range index);
   /// caller holds the mutex. \p It must be valid.
   void dropDeadEntryLocked(
@@ -374,9 +360,9 @@ private:
   int AppendFd = -1; ///< Current append segment, O_APPEND.
   uint32_t AppendSegment = 0;
   std::unordered_map<StoreKey, RecordRef, StoreKeyHash> Index;
-  /// Base key (budget zeroed) -> radius-sorted record views; kept in
-  /// lockstep with `Index` by load/store/compact and dead-entry drops.
-  std::unordered_map<StoreKey, RangeSlot, StoreKeyHash> RangeIndex;
+  /// Radius-sorted views of `Index`'s original proofs; kept in lockstep
+  /// with `Index` by load/store/compact and dead-entry drops.
+  RadiusIndex RangeIndex;
   std::unordered_map<uint32_t, int> ReadFds;
   std::vector<uint32_t> KnownSegments; ///< Readable, ascending.
   /// On-disk bytes per known segment (headers included) — the retention

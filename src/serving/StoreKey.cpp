@@ -90,3 +90,40 @@ bool antidote::rangeServes(VerdictKind Kind, uint32_t CertifiedRadius,
   }
   return false;
 }
+
+void RadiusIndex::add(const StoreKey &K, VerdictKind Kind, uint32_t Radius) {
+  if (Radius != K.PoisoningBudget)
+    return;
+  if (Kind == VerdictKind::Robust)
+    Slots[rangeBaseKey(K)].Robust.emplace(Radius, &K);
+  else if (Kind == VerdictKind::Unknown)
+    Slots[rangeBaseKey(K)].Unknown.emplace(Radius, &K);
+}
+
+void RadiusIndex::remove(const StoreKey &K, VerdictKind Kind,
+                         uint32_t Radius) {
+  if (Radius != K.PoisoningBudget)
+    return;
+  auto It = Slots.find(rangeBaseKey(K));
+  if (It == Slots.end())
+    return;
+  if (Kind == VerdictKind::Robust)
+    It->second.Robust.erase(Radius);
+  else if (Kind == VerdictKind::Unknown)
+    It->second.Unknown.erase(Radius);
+  if (It->second.Robust.empty() && It->second.Unknown.empty())
+    Slots.erase(It);
+}
+
+const StoreKey *RadiusIndex::find(const StoreKey &K, uint32_t N) const {
+  auto It = Slots.find(rangeBaseKey(K));
+  if (It == Slots.end())
+    return nullptr;
+  auto Rob = It->second.Robust.lower_bound(N);
+  if (Rob != It->second.Robust.end())
+    return Rob->second;
+  auto Unk = It->second.Unknown.upper_bound(N);
+  if (Unk != It->second.Unknown.begin())
+    return std::prev(Unk)->second;
+  return nullptr;
+}

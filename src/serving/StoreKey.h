@@ -24,7 +24,7 @@
 ///    different ignored caps share entries), and the three run-stopping
 ///    `ResourceLimits` knobs.
 ///
-/// Scheduling knobs (FrontierJobs/SplitJobs/pools), the cancellation
+/// Scheduling knobs (FrontierJobs/pools), the cancellation
 /// token, `MaxCacheBytes`, and the `Cache` pointer itself never enter a
 /// key: certificates are bit-identical across them, and splitting keys
 /// on them would stop a serial client from hitting entries a 64-thread
@@ -41,6 +41,8 @@
 
 #include "antidote/Verifier.h"
 
+#include <map>
+#include <unordered_map>
 #include <vector>
 
 namespace antidote {
@@ -107,6 +109,43 @@ StoreKey rangeBaseKey(const StoreKey &K);
 /// the strict cross-radius cases.
 bool rangeServes(VerdictKind Kind, uint32_t CertifiedRadius,
                  uint32_t QueryBudget);
+
+/// The radius-range index both store tiers keep in lockstep with their
+/// entry maps: base key (`rangeBaseKey`) -> proof radius -> the entry's
+/// map key, one radius-sorted view per servable verdict. The index
+/// stores pointers to keys the owning map holds (node-based maps never
+/// move their elements); an entry must be removed before its key dies.
+///
+/// Only *original* proofs — entries whose radius equals their key's
+/// budget — are indexed, so a radius names at most one entry. A
+/// range-, slack- or replica-served answer stored under the queried
+/// budget would alias the original's radius and adds no serving power
+/// the original lacks; it serves its exact key only. Not thread-safe:
+/// callers hold their store's mutex.
+class RadiusIndex {
+public:
+  /// Indexes the entry keyed \p K holding a \p Kind proof at
+  /// \p Radius; a no-op unless it is an original Robust/Unknown proof.
+  void add(const StoreKey &K, VerdictKind Kind, uint32_t Radius);
+
+  /// Undoes `add` with the same arguments.
+  void remove(const StoreKey &K, VerdictKind Kind, uint32_t Radius);
+
+  /// The entry key that serves \p K's base key at budget \p N under
+  /// `rangeServes`, or null: the tightest Robust proof at radius >= n,
+  /// else the widest Unknown attempt at radius <= n. Robust is the
+  /// informative verdict, so it wins whenever one applies.
+  const StoreKey *find(const StoreKey &K, uint32_t N) const;
+
+  void clear() { Slots.clear(); }
+
+private:
+  struct Slot {
+    std::map<uint32_t, const StoreKey *> Robust;  ///< Serve n <= radius.
+    std::map<uint32_t, const StoreKey *> Unknown; ///< Serve n >= radius.
+  };
+  std::unordered_map<StoreKey, Slot, StoreKeyHash> Slots;
+};
 
 } // namespace antidote
 

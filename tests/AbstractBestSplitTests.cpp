@@ -133,6 +133,24 @@ TEST(AbstractBestSplitTest, MorePoisoningNeverShrinksTheSet) {
   }
 }
 
+TEST(AbstractBestSplitTest, InterruptedBestSplitReturnsNullopt) {
+  // Truncation is unrepresentable: a meter-interrupted bestSplit# returns
+  // nullopt, so no call site can consume a partial predicate set.
+  Dataset Data = figure2Dataset();
+  SplitContext Ctx(Data);
+  AbstractDataset A = AbstractDataset::entire(Data, 2);
+
+  CancellationToken Token;
+  Token.cancel();
+  ResourceLimits Limits;
+  Limits.TimeoutSeconds = 0.0;
+  ResourceMeter Meter(Limits, &Token);
+
+  EXPECT_EQ(abstractBestSplit(Ctx, A, CprobTransformerKind::Optimal,
+                              GiniLiftingKind::ExactTerm, &Meter),
+            std::nullopt);
+}
+
 //===----------------------------------------------------------------------===//
 // Lemma 4.10 / B.5 soundness property
 //===----------------------------------------------------------------------===//

@@ -165,6 +165,34 @@ TEST(AbstractDTraceTest, StatsArePopulated) {
   EXPECT_GE(Result.Seconds, 0.0);
 }
 
+TEST(AbstractDTraceTest, InterruptedBestSplitIsNeverConsumedByTheLearner) {
+  // A token cancelled before the run starts trips the first bestSplit#
+  // poll; the learner must surface Cancelled with no terminals — the
+  // nullopt result cannot silently become an (unsound) empty Ψ that
+  // completes a verdict.
+  Dataset Data = figure2Dataset();
+  SplitContext Ctx(Data);
+  float X = 5.0f;
+  CancellationToken Token;
+  Token.cancel();
+  for (AbstractDomainKind Domain :
+       {AbstractDomainKind::Box, AbstractDomainKind::Disjuncts,
+        AbstractDomainKind::DisjunctsCapped}) {
+    AbstractLearnerConfig Config;
+    Config.Depth = 3;
+    Config.Domain = Domain;
+    Config.DisjunctCap = 8;
+    Config.Limits.TimeoutSeconds = 0.0;
+    Config.Cancel = &Token;
+    AbstractLearnerResult Result = runAbstractDTrace(
+        Ctx, AbstractDataset::entire(Data, 4), &X, Config);
+    std::string Label = domainKindName(Domain);
+    EXPECT_EQ(Result.Status, LearnerStatus::Cancelled) << Label;
+    EXPECT_TRUE(Result.Terminals.empty()) << Label;
+    EXPECT_FALSE(Result.DominatingClass.has_value()) << Label;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Theorem 4.11: terminal coverage of every concrete final state
 //===----------------------------------------------------------------------===//

@@ -172,7 +172,6 @@ TEST(CertCacheTest, SchedulingKnobsShareEntries) {
   // serial one stored.
   VerifierConfig Parallel = Serial;
   Parallel.FrontierJobs = 4;
-  Parallel.SplitJobs = 2;
   std::unique_ptr<ThreadPool> Pool = makeVerificationPool(4);
   Parallel.FrontierPool = Pool.get();
   Certificate Warm = V.verify(X, 2, Parallel);
@@ -620,4 +619,53 @@ TEST(CertCacheRangeTest, ClearDropsTheRangeIndex) {
   Certificate Out;
   EXPECT_FALSE(Cache.lookup(FP, X, 1, 3, Config, Out));
   EXPECT_EQ(Cache.stats().RangeHits, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// RadiusIndex: the range index both store tiers share
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+StoreKey radiusKey(uint32_t Budget, float Query = 1.0f) {
+  StoreKey K;
+  K.Query = {Query};
+  K.PoisoningBudget = Budget;
+  return K;
+}
+
+} // namespace
+
+TEST(RadiusIndexTest, TightestRobustElseWidestUnknown) {
+  StoreKey R2 = radiusKey(2), R5 = radiusKey(5);
+  StoreKey U7 = radiusKey(7), U9 = radiusKey(9);
+  // Neither is an original Robust/Unknown proof, so neither is indexed:
+  // a range-served answer stored under budget 3 names radius 6, and a
+  // ResourceLimit serves its exact budget only.
+  StoreKey Promoted = radiusKey(3), Capped = radiusKey(6);
+  RadiusIndex Index;
+  Index.add(R2, VerdictKind::Robust, 2);
+  Index.add(R5, VerdictKind::Robust, 5);
+  Index.add(U7, VerdictKind::Unknown, 7);
+  Index.add(U9, VerdictKind::Unknown, 9);
+  Index.add(Promoted, VerdictKind::Robust, 6);
+  Index.add(Capped, VerdictKind::ResourceLimit, 6);
+
+  StoreKey Probe = radiusKey(0);
+  EXPECT_EQ(Index.find(Probe, 0), &R2);
+  EXPECT_EQ(Index.find(Probe, 3), &R5);
+  EXPECT_EQ(Index.find(Probe, 5), &R5);
+  EXPECT_EQ(Index.find(Probe, 6), nullptr);
+  EXPECT_EQ(Index.find(Probe, 8), &U7);
+  EXPECT_EQ(Index.find(Probe, 100), &U9);
+  // Another query is another base key.
+  EXPECT_EQ(Index.find(radiusKey(0, 2.0f), 3), nullptr);
+
+  Index.remove(R5, VerdictKind::Robust, 5);
+  EXPECT_EQ(Index.find(Probe, 3), nullptr);
+  Index.remove(U7, VerdictKind::Unknown, 7);
+  EXPECT_EQ(Index.find(Probe, 8), nullptr);
+  EXPECT_EQ(Index.find(Probe, 9), &U9);
+  Index.clear();
+  EXPECT_EQ(Index.find(Probe, 0), nullptr);
 }

@@ -331,7 +331,8 @@ TEST(DecisionTreeTest, AccuracyOnSeparableData) {
 TEST(DecisionTreeTest, SyntheticDatasetsAreLearnable) {
   // The Table 1 reproduction depends on the synthetic generators producing
   // learnable class structure; sanity-check depth-2 accuracies here so a
-  // generator regression fails fast (exact values live in EXPERIMENTS.md).
+  // generator regression fails fast (bench/BenchTable1 prints the exact
+  // values).
   {
     TrainTestSplit Iris = makeIrisLike();
     SplitContext Ctx(Iris.Train);

@@ -20,6 +20,7 @@
 #include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
+#include <future>
 #include <numeric>
 #include <thread>
 
@@ -170,6 +171,44 @@ TEST(OrderedFanoutTest, CancelRemainingSkipsUnclaimedWork) {
     // entry once they observe teardown.
   }
   EXPECT_EQ(ComputeCalls.load(), 10u);
+}
+
+TEST(OrderedFanoutTest, TeardownDoesNotWaitForQueuedHelpers) {
+  // Fan-outs share one pool across concurrent queries, so a fan-out's
+  // helper task can still sit in the queue behind another query's work
+  // when its consumer finishes. Park the only worker on a gate, let the
+  // consumer compute everything inline, and tear the fan-out down while
+  // its helper is still queued: teardown must return without waiting for
+  // it (or this test hangs), and once the gate opens the helper must exit
+  // without running Body.
+  std::mutex GateMutex; // Declared before the pool: the worker uses it.
+  std::condition_variable GateCv;
+  bool GateOpen = false;
+  ThreadPool Pool(1);
+  Pool.submit([&] {
+    std::unique_lock<std::mutex> Lock(GateMutex);
+    GateCv.wait(Lock, [&] { return GateOpen; });
+  });
+
+  const size_t Count = 16;
+  std::atomic<size_t> ComputeCalls{0};
+  {
+    OrderedFanout Fanout(&Pool, Count, /*ChunkSize=*/1,
+                         [&](size_t) { ComputeCalls.fetch_add(1); });
+    for (size_t I = 0; I < Count; ++I)
+      Fanout.awaitItem(I);
+  }
+  {
+    std::lock_guard<std::mutex> Lock(GateMutex);
+    GateOpen = true;
+  }
+  GateCv.notify_all();
+  // The pool is FIFO with one worker: once this marker runs, the queued
+  // helper has run too.
+  std::promise<void> Drained;
+  Pool.submit([&] { Drained.set_value(); });
+  Drained.get_future().wait();
+  EXPECT_EQ(ComputeCalls.load(), Count);
 }
 
 //===----------------------------------------------------------------------===//

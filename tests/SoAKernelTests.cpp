@@ -10,7 +10,7 @@
 //    hardcoded values captured from the pre-refactor scalar implementation
 //    (checked bit-identical against a build of the scalar seed across the
 //    full domain x budget x depth grid), and assert the pinned values hold
-//    for every Jobs / FrontierJobs / SplitJobs combination. A vectorization
+//    for every Jobs / FrontierJobs value. A vectorization
 //    or layout change that perturbs any observable — verdict, prediction,
 //    dominating class, terminal count, peak disjuncts, bestSplit calls —
 //    fails here, pointing straight at the kernel that drifted.
@@ -241,18 +241,15 @@ std::string goldenLabel(const GoldenCert &G, const char *Knobs) {
 TEST(SoAGoldenTest, CertificatesMatchScalarSeedAcrossKnobGrid) {
   Dataset Data = figure2Dataset();
   Verifier V(Data);
-  const std::pair<unsigned, unsigned> KnobGrid[] = {
-      {1, 1}, {2, 1}, {1, 2}, {2, 2}, {0, 0}};
+  const unsigned KnobGrid[] = {1, 2, 0};
   for (const GoldenCert &G : kGoldenCerts) {
-    for (auto [FrontierJobs, SplitJobs] : KnobGrid) {
+    for (unsigned FrontierJobs : KnobGrid) {
       VerifierConfig Config;
       Config.Depth = G.Depth;
       Config.Domain = kGoldenDomains[G.Domain];
       Config.DisjunctCap = 4;
       Config.FrontierJobs = FrontierJobs;
-      Config.SplitJobs = SplitJobs;
-      std::string Knobs = "fj=" + std::to_string(FrontierJobs) +
-                          " sj=" + std::to_string(SplitJobs);
+      std::string Knobs = "fj=" + std::to_string(FrontierJobs);
       expectGolden(G, V.verify(&kGoldenQueries[G.Query], G.Budget, Config),
                    goldenLabel(G, Knobs.c_str()).c_str());
     }

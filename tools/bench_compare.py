@@ -8,8 +8,8 @@ tolerance (default 25%). Output is a GitHub-flavoured markdown table
 suitable for `$GITHUB_STEP_SUMMARY`.
 
 Gated benchmarks (the hot paths the recent PRs built): the cache-hit
-path, the frontier fan-out, the bestSplit# sharding, and the disk-store
-restart path. Comparison uses *cpu_time* — wall clock on shared runners
+path, the frontier fan-out, the disk-store restart path, and the
+vectorized kernels. Comparison uses *cpu_time* — wall clock on shared runners
 is hostage to the neighbours, and every gated path's win is
 CPU-visible — normalized through each entry's `time_unit`.
 
@@ -39,7 +39,6 @@ import sys
 DEFAULT_PATTERNS = [
     r"^BM_CacheHitRate",
     r"^BM_VerifyFrontierJobs",
-    r"^BM_BestSplitJobs",
     r"^BM_DiskStoreHitRate",
     r"^BM_DeltaHitRate",
     r"^BM_Kernel",
