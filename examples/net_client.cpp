@@ -22,6 +22,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "serving/NetProtocol.h"
+#include "support/FdIo.h"
 #include "support/Net.h"
 #include "support/Parse.h"
 
@@ -118,21 +119,6 @@ bool parseArgs(int Argc, char **Argv, ClientOptions &Options) {
   return true;
 }
 
-bool sendAll(int Fd, const std::string &Bytes) {
-  size_t Pos = 0;
-  while (Pos < Bytes.size()) {
-    ssize_t N = ::send(Fd, Bytes.data() + Pos, Bytes.size() - Pos,
-                       MSG_NOSIGNAL);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    Pos += static_cast<size_t>(N);
-  }
-  return true;
-}
-
 const char *statusName(const NetResponse &Response) {
   switch (Response.Status) {
   case NetStatus::Ok:
@@ -174,7 +160,8 @@ int main(int Argc, char **Argv) {
     for (unsigned J = 0; J < Options.Features; ++J)
       Request.X.push_back(
           static_cast<float>((Request.Tag * 7 + J * 3) % 11));
-    if (!sendAll(Sock.get(), encodeRequestFrame(Request))) {
+    std::string Frame = encodeRequestFrame(Request);
+    if (sendFull(Sock.get(), Frame.data(), Frame.size()) != IoResult::Ok) {
       std::fprintf(stderr, "error: send: %s\n", std::strerror(errno));
       return 1;
     }

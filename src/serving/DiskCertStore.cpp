@@ -7,7 +7,8 @@
 
 #include "serving/DiskCertStore.h"
 
-#include "support/BitHash.h"
+#include "support/ByteCodec.h"
+#include "support/FdIo.h"
 
 #include <algorithm>
 #include <cassert>
@@ -46,58 +47,8 @@ uint64_t fnv1a64(const uint8_t *Data, size_t Size) {
   return H;
 }
 
-/// Fixed-width little-endian serialization. Floats and doubles go
-/// through their storage bits (support/BitHash.h policy), `size_t`
-/// widens to u64, so records are identical across platforms.
-struct ByteWriter {
-  std::vector<uint8_t> Bytes;
-
-  void u8(uint8_t V) { Bytes.push_back(V); }
-  void u32(uint32_t V) {
-    for (int I = 0; I < 4; ++I)
-      Bytes.push_back(static_cast<uint8_t>(V >> (8 * I)));
-  }
-  void u64(uint64_t V) {
-    for (int I = 0; I < 8; ++I)
-      Bytes.push_back(static_cast<uint8_t>(V >> (8 * I)));
-  }
-};
-
-struct ByteReader {
-  const uint8_t *Data;
-  size_t Size;
-  size_t Pos = 0;
-  bool Failed = false;
-
-  bool take(size_t N) {
-    if (Failed || Size - Pos < N) {
-      Failed = true;
-      return false;
-    }
-    return true;
-  }
-  uint8_t u8() {
-    if (!take(1))
-      return 0;
-    return Data[Pos++];
-  }
-  uint32_t u32() {
-    if (!take(4))
-      return 0;
-    uint32_t V = 0;
-    for (int I = 0; I < 4; ++I)
-      V |= static_cast<uint32_t>(Data[Pos++]) << (8 * I);
-    return V;
-  }
-  uint64_t u64() {
-    if (!take(8))
-      return 0;
-    uint64_t V = 0;
-    for (int I = 0; I < 8; ++I)
-      V |= static_cast<uint64_t>(Data[Pos++]) << (8 * I);
-    return V;
-  }
-};
+using codec::Reader;
+using RecordWriter = codec::Writer<std::vector<uint8_t>>;
 
 /// Only deterministic verdicts may be persisted (same discipline as the
 /// RAM tier); `Verifier` already filters on the write path, and
@@ -108,19 +59,8 @@ bool isPersistableVerdict(VerdictKind Kind) {
          Kind == VerdictKind::ResourceLimit;
 }
 
-float floatFromBits(uint32_t Bits) {
-  float V;
-  std::memcpy(&V, &Bits, sizeof(V));
-  return V;
-}
-
-double doubleFromBits(uint64_t Bits) {
-  double V;
-  std::memcpy(&V, &Bits, sizeof(V));
-  return V;
-}
-
-void writePayload(ByteWriter &W, const StoreKey &K, const Certificate &Cert) {
+void writePayload(RecordWriter &W, const StoreKey &K,
+                  const Certificate &Cert) {
   // Key first (so the index rebuild never touches certificate fields),
   // certificate after; see the header comment for the field meanings.
   W.u64(K.Data.Hi);
@@ -134,12 +74,12 @@ void writePayload(ByteWriter &W, const StoreKey &K, const Certificate &Cert) {
   // range indexes) per model.
   W.u8(static_cast<uint8_t>(K.Threat));
   W.u64(K.DisjunctCap);
-  W.u64(doubleBits(K.TimeoutSeconds));
+  W.f64(K.TimeoutSeconds);
   W.u64(K.MaxDisjuncts);
   W.u64(K.MaxStateBytes);
   W.u32(static_cast<uint32_t>(K.Query.size()));
   for (float V : K.Query)
-    W.u32(floatBits(V));
+    W.f32(V);
 
   W.u8(static_cast<uint8_t>(Cert.Kind));
   W.u32(Cert.PoisoningBudget);
@@ -153,40 +93,40 @@ void writePayload(ByteWriter &W, const StoreKey &K, const Certificate &Cert) {
   W.u64(Cert.PeakDisjuncts);
   W.u64(Cert.PeakStateBytes);
   W.u32(Cert.BestSplitCalls);
-  W.u64(doubleBits(Cert.Seconds));
+  W.f64(Cert.Seconds);
   // FormatVersion 2: the proof radius the range index serves from.
   W.u32(Cert.CertifiedRadius);
 }
 
 bool readPayload(const uint8_t *Payload, size_t PayloadBytes, StoreKey &K,
                  Certificate &Cert) {
-  ByteReader R{Payload, PayloadBytes};
+  Reader R(Payload, PayloadBytes);
   K.Data.Hi = R.u64();
   K.Data.Lo = R.u64();
   K.PoisoningBudget = R.u32();
   K.Depth = R.u32();
-  K.Domain = static_cast<AbstractDomainKind>(R.u8());
-  K.Cprob = static_cast<CprobTransformerKind>(R.u8());
-  K.Gini = static_cast<GiniLiftingKind>(R.u8());
-  K.Threat = static_cast<ThreatModelKind>(R.u8());
+  K.Domain = R.enumU8(AbstractDomainKind::DisjunctsCapped);
+  K.Cprob = R.enumU8(CprobTransformerKind::NaiveInterval);
+  K.Gini = R.enumU8(GiniLiftingKind::NaturalLifting);
+  K.Threat = R.enumU8(ThreatModelKind::LabelFlip);
   K.DisjunctCap = static_cast<size_t>(R.u64());
-  K.TimeoutSeconds = doubleFromBits(R.u64());
+  K.TimeoutSeconds = R.f64();
   K.MaxDisjuncts = static_cast<size_t>(R.u64());
   K.MaxStateBytes = R.u64();
   uint32_t NumFeatures = R.u32();
-  if (R.Failed || NumFeatures > PayloadBytes / sizeof(float))
+  if (!R.ok() || NumFeatures > R.remaining() / sizeof(float))
     return false;
   K.Query.resize(NumFeatures);
   for (uint32_t I = 0; I < NumFeatures; ++I)
-    K.Query[I] = floatFromBits(R.u32());
+    K.Query[I] = R.f32();
 
-  Cert.Kind = static_cast<VerdictKind>(R.u8());
+  Cert.Kind = R.enumU8(VerdictKind::Cancelled);
   Cert.PoisoningBudget = R.u32();
   Cert.Depth = R.u32();
-  Cert.Domain = static_cast<AbstractDomainKind>(R.u8());
-  Cert.Threat = static_cast<ThreatModelKind>(R.u8());
+  Cert.Domain = R.enumU8(AbstractDomainKind::DisjunctsCapped);
+  Cert.Threat = R.enumU8(ThreatModelKind::LabelFlip);
   Cert.ConcretePrediction = R.u32();
-  bool HasDominating = R.u8() != 0;
+  bool HasDominating = R.flag();
   uint32_t Dominating = R.u32();
   Cert.DominatingClass =
       HasDominating ? std::optional<unsigned>(Dominating) : std::nullopt;
@@ -194,31 +134,53 @@ bool readPayload(const uint8_t *Payload, size_t PayloadBytes, StoreKey &K,
   Cert.PeakDisjuncts = static_cast<size_t>(R.u64());
   Cert.PeakStateBytes = R.u64();
   Cert.BestSplitCalls = R.u32();
-  Cert.Seconds = doubleFromBits(R.u64());
+  Cert.Seconds = R.f64();
   Cert.CertifiedRadius = R.u32();
   // The whole payload must be consumed (trailing bytes mean a format
-  // skew the version header should have caught), and only verdicts the
-  // write side may persist are accepted back — the read-side twin of
-  // `isPersistableVerdict`, so even a record appended by buggy or
-  // foreign tooling can never replay a Timeout/Cancelled a fresh run
-  // might contradict (and compaction drops it rather than copying it
-  // forward).
-  return !R.Failed && R.Pos == PayloadBytes &&
-         isPersistableVerdict(Cert.Kind);
+  // skew the version header should have caught), every enum byte must
+  // name an enumerator (the same check the wire decoder applies), and
+  // only verdicts the write side may persist are accepted back — the
+  // read-side twin of `isPersistableVerdict`, so even a record appended
+  // by buggy or foreign tooling can never replay a Timeout/Cancelled a
+  // fresh run might contradict (and compaction drops it rather than
+  // copying it forward).
+  return R.exhausted() && isPersistableVerdict(Cert.Kind);
 }
 
 std::vector<uint8_t> serializeRecord(const StoreKey &K,
                                      const Certificate &Cert) {
-  ByteWriter Payload;
-  writePayload(Payload, K, Cert);
-  ByteWriter Record;
-  Record.Bytes.reserve(RecordHeaderBytes + Payload.Bytes.size());
-  Record.u32(RecordMagic);
-  Record.u32(static_cast<uint32_t>(Payload.Bytes.size()));
-  Record.u64(fnv1a64(Payload.Bytes.data(), Payload.Bytes.size()));
-  Record.Bytes.insert(Record.Bytes.end(), Payload.Bytes.begin(),
-                      Payload.Bytes.end());
-  return Record.Bytes;
+  std::vector<uint8_t> Payload;
+  RecordWriter PW(Payload);
+  writePayload(PW, K, Cert);
+  std::vector<uint8_t> Record;
+  Record.reserve(RecordHeaderBytes + Payload.size());
+  RecordWriter W(Record);
+  W.u32(RecordMagic);
+  W.u32(static_cast<uint32_t>(Payload.size()));
+  W.u64(fnv1a64(Payload.data(), Payload.size()));
+  W.bytes(Payload.data(), Payload.size());
+  return Record;
+}
+
+/// The 8-byte header every segment starts with.
+codec::FixedBytes<SegmentHeaderBytes> segmentHeader() {
+  codec::FixedBytes<SegmentHeaderBytes> Header;
+  codec::Writer<codec::FixedBytes<SegmentHeaderBytes>> W(Header);
+  W.u32(SegmentMagic);
+  W.u32(DiskCertStore::FormatVersion);
+  return Header;
+}
+
+/// Whether \p Bytes start with a whole current-format segment header.
+/// Anything else — torn before the header finished, a foreign file or
+/// an older format — is skipped wholesale: a format bump invalidates
+/// cleanly instead of half-parsing, and compaction reclaims the file.
+bool isCurrentSegment(const std::vector<uint8_t> &Bytes) {
+  Reader R(Bytes.data(), Bytes.size());
+  uint32_t Magic = R.u32();
+  uint32_t Version = R.u32();
+  return R.ok() && Magic == SegmentMagic &&
+         Version == DiskCertStore::FormatVersion;
 }
 
 /// Outcome of walking one header-validated segment's records.
@@ -239,7 +201,7 @@ SegmentWalk walkSegmentRecords(const std::vector<uint8_t> &Bytes,
   SegmentWalk Walk;
   size_t Offset = SegmentHeaderBytes;
   while (Offset + RecordHeaderBytes <= Bytes.size()) {
-    ByteReader R{Bytes.data() + Offset, RecordHeaderBytes};
+    Reader R(Bytes.data() + Offset, RecordHeaderBytes);
     uint32_t Magic = R.u32();
     uint32_t PayloadBytes = R.u32();
     uint64_t Checksum = R.u64();
@@ -333,47 +295,18 @@ bool makeDirs(const std::string &Dir, std::string &Error) {
   return true;
 }
 
-bool readWholeFile(const std::string &Path, std::vector<uint8_t> &Out,
-                   std::string &Error) {
+bool readWholeFile(const std::string &Path, std::vector<uint8_t> &Out) {
   int Fd = ::open(Path.c_str(), O_RDONLY);
-  if (Fd < 0) {
-    Error = "cannot read '" + Path + "': " + errnoString();
+  if (Fd < 0)
     return false;
-  }
   struct stat St;
-  if (::fstat(Fd, &St) != 0) {
-    Error = "cannot stat '" + Path + "': " + errnoString();
-    ::close(Fd);
-    return false;
-  }
-  Out.resize(static_cast<size_t>(St.st_size));
-  size_t Done = 0;
-  while (Done < Out.size()) {
-    ssize_t N = ::read(Fd, Out.data() + Done, Out.size() - Done);
-    if (N < 0 && errno == EINTR)
-      continue;
-    if (N <= 0) {
-      Error = "short read on '" + Path + "': " + errnoString();
-      ::close(Fd);
-      return false;
-    }
-    Done += static_cast<size_t>(N);
+  bool Ok = ::fstat(Fd, &St) == 0;
+  if (Ok) {
+    Out.resize(static_cast<size_t>(St.st_size));
+    Ok = readFull(Fd, Out.data(), Out.size()) == IoResult::Ok;
   }
   ::close(Fd);
-  return true;
-}
-
-bool writeAll(int Fd, const uint8_t *Data, size_t Size) {
-  size_t Done = 0;
-  while (Done < Size) {
-    ssize_t N = ::write(Fd, Data + Done, Size - Done);
-    if (N < 0 && errno == EINTR)
-      continue;
-    if (N <= 0)
-      return false;
-    Done += static_cast<size_t>(N);
-  }
-  return true;
+  return Ok;
 }
 
 /// RAII `flock` holder; retried on EINTR. Callers must check
@@ -560,22 +493,13 @@ bool DiskCertStore::loadLocked(std::string &Error,
   bool LastAppendable = false;
   for (uint32_t Id : SegmentIds) {
     std::vector<uint8_t> Bytes;
-    std::string ReadError;
-    if (!readWholeFile(segmentPath(Id), Bytes, ReadError)) {
+    if (!readWholeFile(segmentPath(Id), Bytes)) {
       // Unreadable segment: skip it — the store serves what it can.
       ++Stats.StaleSegments;
       continue;
     }
     TotalSegmentBytes += Bytes.size();
-    if (Bytes.size() < SegmentHeaderBytes) {
-      // Torn before the header finished: unusable, reclaimed by compact.
-      ++Stats.StaleSegments;
-      continue;
-    }
-    ByteReader Header{Bytes.data(), Bytes.size()};
-    if (Header.u32() != SegmentMagic || Header.u32() != FormatVersion) {
-      // Foreign or older-format segment: skipped wholesale — a format
-      // bump invalidates cleanly instead of half-parsing.
+    if (!isCurrentSegment(Bytes)) {
       ++Stats.StaleSegments;
       continue;
     }
@@ -586,23 +510,10 @@ bool DiskCertStore::loadLocked(std::string &Error,
     SegmentWalk Walk = walkSegmentRecords(
         Bytes, [&](StoreKey &&Key, const Certificate &Cert, size_t Offset,
                    uint32_t PayloadBytes, uint64_t Checksum) {
-          RecordRef Ref;
-          Ref.Segment = Id;
-          Ref.PayloadOffset = Offset + RecordHeaderBytes;
-          Ref.PayloadBytes = PayloadBytes;
-          Ref.Checksum = Checksum;
-          Ref.Kind = Cert.Kind;
-          Ref.CertifiedRadius = Cert.CertifiedRadius;
-          auto [It, Inserted] = Index.try_emplace(std::move(Key), Ref);
-          if (Inserted) {
-            RangeIndex.add(It->first, Ref.Kind, Ref.CertifiedRadius);
-            ++Stats.LiveRecords;
-            Stats.LiveBytes += RecordHeaderBytes + PayloadBytes;
-          } else {
-            // Equal keys hold interchangeable certificates; keep the
-            // first, let compaction reclaim the rest.
-            ++Stats.DuplicateRecords;
-          }
+          indexRecordLocked(
+              std::move(Key), Cert,
+              {Id, static_cast<uint32_t>(RecordHeaderBytes + PayloadBytes),
+               Offset, Checksum});
         });
     Stats.CorruptSkipped += Walk.Corrupt;
 
@@ -683,26 +594,9 @@ void DiskCertStore::reconcileJournalLocked() {
     const StoreJournal::Entry &E = Journal.entry(S);
     Journaled.emplace(E.Segment, E.Offset);
   }
-  std::vector<StoreJournal::Entry> Missing;
-  for (const auto &[Key, Ref] : Index) {
-    (void)Key;
-    if (!Journaled.count(
-            {Ref.Segment, Ref.PayloadOffset - RecordHeaderBytes})) {
-      StoreJournal::Entry E;
-      E.Segment = Ref.Segment;
-      E.RecordBytes = Ref.PayloadBytes + RecordHeaderBytes;
-      E.Offset = Ref.PayloadOffset - RecordHeaderBytes;
-      E.Checksum = Ref.Checksum;
-      Missing.push_back(E);
-    }
-  }
-  std::sort(Missing.begin(), Missing.end(),
-            [](const StoreJournal::Entry &A, const StoreJournal::Entry &B) {
-              return A.Segment != B.Segment ? A.Segment < B.Segment
-                                            : A.Offset < B.Offset;
-            });
-  for (const StoreJournal::Entry &E : Missing)
-    Journal.append(E);
+  for (const StoreJournal::Entry &E : journalEntriesFromIndexLocked())
+    if (!Journaled.count({E.Segment, E.Offset}))
+      Journal.append(E);
 }
 
 int DiskCertStore::readFdLocked(uint32_t Segment) {
@@ -728,19 +622,15 @@ DiskCertStore::readPayloadLocked(const RecordRef &Ref,
     // later.
     return errno == ENOENT ? ReadStatus::Gone : ReadStatus::Transient;
   Out.resize(Ref.PayloadBytes);
-  size_t Done = 0;
-  while (Done < Out.size()) {
-    ssize_t N = ::pread(Fd, Out.data() + Done, Out.size() - Done,
-                        static_cast<off_t>(Ref.PayloadOffset + Done));
-    if (N < 0 && errno == EINTR)
-      continue;
-    if (N == 0)
-      return ReadStatus::Gone; // The file shrank: record gone for good.
-    if (N < 0)
-      return ReadStatus::Transient;
-    Done += static_cast<size_t>(N);
+  switch (preadFull(Fd, Out.data(), Out.size(), Ref.PayloadOffset)) {
+  case IoResult::Ok:
+    return ReadStatus::Ok;
+  case IoResult::Eof:
+    return ReadStatus::Gone; // The file shrank: record gone for good.
+  case IoResult::Error:
+    break;
   }
-  return ReadStatus::Ok;
+  return ReadStatus::Transient;
 }
 
 bool DiskCertStore::readRecordLocked(const StoreJournal::Entry &E,
@@ -752,28 +642,18 @@ bool DiskCertStore::readRecordLocked(const StoreJournal::Entry &E,
   if (Fd < 0)
     return false;
   Out.resize(E.RecordBytes);
-  size_t Done = 0;
-  while (Done < Out.size()) {
-    ssize_t N = ::pread(Fd, Out.data() + Done, Out.size() - Done,
-                        static_cast<off_t>(E.Offset + Done));
-    if (N < 0 && errno == EINTR)
-      continue;
-    if (N <= 0)
-      return false;
-    Done += static_cast<size_t>(N);
-  }
+  if (preadFull(Fd, Out.data(), Out.size(), E.Offset) != IoResult::Ok)
+    return false;
   // The header must agree with the journal entry, and the payload with
   // the header's checksum — corrupt bytes are never shipped or indexed.
-  ByteReader R{Out.data(), RecordHeaderBytes};
-  if (R.u32() != RecordMagic)
-    return false;
-  if (R.u32() != E.RecordBytes - RecordHeaderBytes)
-    return false;
+  Reader R(Out.data(), RecordHeaderBytes);
+  uint32_t Magic = R.u32();
+  uint32_t PayloadBytes = R.u32();
   uint64_t Checksum = R.u64();
-  if (Checksum != E.Checksum)
-    return false;
-  return fnv1a64(Out.data() + RecordHeaderBytes,
-                 E.RecordBytes - RecordHeaderBytes) == Checksum;
+  return Magic == RecordMagic &&
+         PayloadBytes == E.RecordBytes - RecordHeaderBytes &&
+         Checksum == E.Checksum &&
+         fnv1a64(Out.data() + RecordHeaderBytes, PayloadBytes) == Checksum;
 }
 
 void DiskCertStore::ingestJournalEntryLocked(const StoreJournal::Entry &E) {
@@ -794,6 +674,11 @@ void DiskCertStore::ingestJournalEntryLocked(const StoreJournal::Entry &E) {
   struct stat St;
   if (::stat(segmentPath(E.Segment).c_str(), &St) == 0)
     SegmentBytes[E.Segment] = static_cast<uint64_t>(St.st_size);
+  indexRecordLocked(std::move(Key), Cert, E);
+}
+
+void DiskCertStore::indexRecordLocked(StoreKey &&Key, const Certificate &Cert,
+                                      const StoreJournal::Entry &E) {
   RecordRef Ref;
   Ref.Segment = E.Segment;
   Ref.PayloadOffset = E.Offset + RecordHeaderBytes;
@@ -802,13 +687,15 @@ void DiskCertStore::ingestJournalEntryLocked(const StoreJournal::Entry &E) {
   Ref.Kind = Cert.Kind;
   Ref.CertifiedRadius = Cert.CertifiedRadius;
   auto [It, Inserted] = Index.try_emplace(std::move(Key), Ref);
-  if (Inserted) {
-    RangeIndex.add(It->first, Ref.Kind, Ref.CertifiedRadius);
-    ++Stats.LiveRecords;
-    Stats.LiveBytes += E.RecordBytes;
-  } else {
+  if (!Inserted) {
+    // Equal keys hold interchangeable certificates; keep the first, let
+    // compaction reclaim the rest.
     ++Stats.DuplicateRecords;
+    return;
   }
+  RangeIndex.add(It->first, Ref.Kind, Ref.CertifiedRadius);
+  ++Stats.LiveRecords;
+  Stats.LiveBytes += E.RecordBytes;
 }
 
 void DiskCertStore::syncJournalWithDiskLocked() {
@@ -825,11 +712,16 @@ void DiskCertStore::syncJournalWithDiskLocked() {
   if (H.Epoch == Journal.epoch() && H.Generation == Journal.generation())
     return;
   uint64_t OldEpoch = Journal.epoch();
+  uint64_t OldEntries = Journal.entryCount();
   uint64_t FirstNew = 0;
   if (!Journal.refresh(FirstNew))
     return;
   ++Stats.IndexRefreshes;
-  if (Journal.epoch() != OldEpoch || FirstNew == 1) {
+  // Growth continues right after our last line (an empty journal's
+  // growth included — the sibling's first append must be ingested here,
+  // or the caller could append the very key it carries); anything else
+  // was a wholesale reload.
+  if (Journal.epoch() != OldEpoch || FirstNew != OldEntries + 1) {
     // The segments changed shape under us (sibling compaction or
     // retention). The full rescan takes the flock itself, which would
     // not nest here, so defer it to the next lookup miss; meanwhile the
@@ -961,18 +853,44 @@ bool DiskCertStore::rangeLookup(const DatasetFingerprint &Data, const float *X,
   return lookupLocked(K, PoisoningBudget, /*RangeOnly=*/true, Out);
 }
 
-bool DiskCertStore::appendLocked(const std::vector<uint8_t> &Record,
-                                 RecordRef &Ref) {
-  // Cross-process single-writer section. No lock, no write: appending
-  // unserialized would let two processes interleave records. Non-
-  // blocking: the caller holds the store mutex, and waiting out a
-  // sibling's compaction here would freeze this process's lookups too.
-  FileLock Lock(LockFd, /*Blocking=*/false);
-  if (!Lock.locked())
-    return false;
-  // Under the lock, absorb any sibling journal growth first: our entry
-  // must extend the journal, not overwrite a line a sibling just wrote.
-  syncJournalWithDiskLocked();
+DiskCertStore::ApplyResult
+DiskCertStore::insertRecordLocked(StoreKey &&K, const Certificate &Cert,
+                                  const uint8_t *Record, size_t Size) {
+  // Certificates for equal keys are interchangeable; appending again
+  // would only grow the segment for compaction to reclaim.
+  if (Index.count(K)) {
+    ++Stats.DuplicatesDeclined;
+    return ApplyResult::Duplicate;
+  }
+  StoreJournal::Entry E;
+  {
+    // Cross-process single-writer section. No lock, no write: appending
+    // unserialized would let two processes interleave records. Non-
+    // blocking: the caller holds the store mutex, and waiting out a
+    // sibling's compaction here would freeze this process's lookups
+    // too.
+    FileLock Lock(LockFd, /*Blocking=*/false);
+    if (!Lock.locked())
+      return ApplyResult::Declined;
+    // Under the lock, absorb any sibling journal growth first: our entry
+    // must extend the journal, not overwrite a line a sibling just
+    // wrote — and the sibling may have appended this very key.
+    syncJournalWithDiskLocked();
+    if (Index.count(K)) {
+      ++Stats.DuplicatesDeclined;
+      return ApplyResult::Duplicate;
+    }
+    if (!appendLocked(Record, Size, E))
+      return ApplyResult::Declined;
+  }
+  indexRecordLocked(std::move(K), Cert, E);
+  ++Stats.Stores;
+  applyRetentionLocked();
+  return ApplyResult::Applied;
+}
+
+bool DiskCertStore::appendLocked(const uint8_t *Record, size_t Size,
+                                 StoreJournal::Entry &E) {
   // Up to four tries: open + nlink-rotation + size-rotation + write.
   for (int Attempt = 0; Attempt < 4; ++Attempt) {
     if (AppendFd < 0) {
@@ -1002,9 +920,9 @@ bool DiskCertStore::appendLocked(const std::vector<uint8_t> &Record,
     // the last good boundary: leaving torn bytes would strand every
     // later append behind them — the next open's scan stops at the
     // first bad record, silently losing the rest of the segment.
-    auto WriteOrRollBack = [&](const uint8_t *Data, size_t Size,
+    auto WriteOrRollBack = [&](const uint8_t *Data, size_t Bytes,
                                off_t GoodEnd) {
-      if (writeAll(AppendFd, Data, Size))
+      if (writeFull(AppendFd, Data, Bytes) == IoResult::Ok)
         return true;
       if (::ftruncate(AppendFd, GoodEnd) != 0) {
         // Rollback failed too: abandon the segment, never append to it
@@ -1016,10 +934,8 @@ bool DiskCertStore::appendLocked(const std::vector<uint8_t> &Record,
       return false;
     };
     if (End == 0) {
-      ByteWriter Header;
-      Header.u32(SegmentMagic);
-      Header.u32(FormatVersion);
-      if (!WriteOrRollBack(Header.Bytes.data(), Header.Bytes.size(), 0))
+      codec::FixedBytes<SegmentHeaderBytes> Header = segmentHeader();
+      if (!WriteOrRollBack(Header.data(), Header.size(), 0))
         return false;
       End = static_cast<off_t>(SegmentHeaderBytes);
       if (std::find(KnownSegments.begin(), KnownSegments.end(),
@@ -1030,7 +946,7 @@ bool DiskCertStore::appendLocked(const std::vector<uint8_t> &Record,
       }
     }
     if (Options.MaxSegmentBytes &&
-        static_cast<uint64_t>(End) + Record.size() > Options.MaxSegmentBytes &&
+        static_cast<uint64_t>(End) + Size > Options.MaxSegmentBytes &&
         static_cast<uint64_t>(End) > SegmentHeaderBytes) {
       // Rotate and retry once with the fresh segment.
       ::close(AppendFd);
@@ -1038,24 +954,15 @@ bool DiskCertStore::appendLocked(const std::vector<uint8_t> &Record,
       ++AppendSegment;
       continue;
     }
-    if (!WriteOrRollBack(Record.data(), Record.size(), End))
+    if (!WriteOrRollBack(Record, Size, End))
       return false;
-    Ref.Segment = AppendSegment;
-    Ref.PayloadOffset = static_cast<uint64_t>(End) + RecordHeaderBytes;
-    Ref.PayloadBytes =
-        static_cast<uint32_t>(Record.size() - RecordHeaderBytes);
-    SegmentBytes[AppendSegment] =
-        static_cast<uint64_t>(End) + Record.size();
+    SegmentBytes[AppendSegment] = static_cast<uint64_t>(End) + Size;
     // Journal the record while still holding the flock: the serial a
     // replica pulls by must name exactly these bytes.
-    StoreJournal::Entry E;
     E.Segment = AppendSegment;
-    E.RecordBytes = static_cast<uint32_t>(Record.size());
+    E.RecordBytes = static_cast<uint32_t>(Size);
     E.Offset = static_cast<uint64_t>(End);
-    {
-      ByteReader R{Record.data() + 8, 8};
-      E.Checksum = R.u64();
-    }
+    E.Checksum = Reader(Record + 8, 8).u64(); // The header's checksum.
     Journal.append(E);
     return true;
   }
@@ -1072,28 +979,10 @@ void DiskCertStore::store(const DatasetFingerprint &Data, const float *X,
     return;
   }
   StoreKey K = makeStoreKey(Data, X, NumFeatures, PoisoningBudget, Config);
-  std::lock_guard<std::mutex> Guard(Mutex);
-  if (Index.count(K)) {
-    // Certificates for equal keys are interchangeable; appending again
-    // would only grow the segment for compaction to reclaim.
-    ++Stats.DuplicatesDeclined;
-    return;
-  }
   std::vector<uint8_t> Record = serializeRecord(K, Cert);
-  RecordRef Ref;
-  if (!appendLocked(Record, Ref))
-    return; // The store may decline (CertificateStore contract).
-  Ref.Checksum = fnv1a64(Record.data() + RecordHeaderBytes,
-                         Record.size() - RecordHeaderBytes);
-  Ref.Kind = Cert.Kind;
-  Ref.CertifiedRadius = Cert.CertifiedRadius;
-  auto [It, Inserted] = Index.emplace(std::move(K), Ref);
-  if (Inserted)
-    RangeIndex.add(It->first, Ref.Kind, Ref.CertifiedRadius);
-  ++Stats.Stores;
-  ++Stats.LiveRecords;
-  Stats.LiveBytes += Record.size();
-  applyRetentionLocked();
+  std::lock_guard<std::mutex> Guard(Mutex);
+  // The store may decline (CertificateStore contract).
+  insertRecordLocked(std::move(K), Cert, Record.data(), Record.size());
 }
 
 void DiskCertStore::applyRetentionLocked() {
@@ -1200,22 +1089,13 @@ bool DiskCertStore::compact(std::string *Error) {
     ::unlink(NewPath.c_str());
     return Fail(Message);
   };
-  {
-    ByteWriter Header;
-    Header.u32(SegmentMagic);
-    Header.u32(FormatVersion);
-    if (!writeAll(Fd, Header.Bytes.data(), Header.Bytes.size()))
-      return Abort("cannot write '" + NewPath + "': " + errnoString());
-  }
+  codec::FixedBytes<SegmentHeaderBytes> Header = segmentHeader();
+  if (writeFull(Fd, Header.data(), Header.size()) != IoResult::Ok)
+    return Abort("cannot write '" + NewPath + "': " + errnoString());
   for (uint32_t Id : OldSegments) {
     std::vector<uint8_t> Bytes;
-    std::string ReadError;
-    if (!readWholeFile(segmentPath(Id), Bytes, ReadError) ||
-        Bytes.size() < SegmentHeaderBytes)
-      continue; // Unreadable/torn-header: nothing to preserve.
-    ByteReader Header{Bytes.data(), Bytes.size()};
-    if (Header.u32() != SegmentMagic || Header.u32() != FormatVersion)
-      continue; // Stale format: invalidated by design.
+    if (!readWholeFile(segmentPath(Id), Bytes) || !isCurrentSegment(Bytes))
+      continue; // Unreadable, torn or stale: nothing to preserve.
     bool WriteFailed = false;
     walkSegmentRecords(Bytes, [&](StoreKey &&Key, const Certificate &Cert,
                                   size_t, uint32_t, uint64_t Checksum) {
@@ -1223,7 +1103,7 @@ bool DiskCertStore::compact(std::string *Error) {
       if (WriteFailed || NewIndex.count(Key))
         return; // Duplicate (first wins — certificates interchangeable).
       std::vector<uint8_t> Record = serializeRecord(Key, Cert);
-      if (!writeAll(Fd, Record.data(), Record.size())) {
+      if (writeFull(Fd, Record.data(), Record.size()) != IoResult::Ok) {
         WriteFailed = true;
         return;
       }
@@ -1319,12 +1199,11 @@ DiskCertStore::serveJournalPoll(const PollRequest &Poll) {
     if (Poll.ScopeHi || Poll.ScopeLo) {
       // The key's dataset fingerprint leads the payload; out-of-scope
       // records are skipped but their serials advance the cursor.
-      if (Record.size() < RecordHeaderBytes + 16)
-        continue;
-      ByteReader R{Record.data() + RecordHeaderBytes, 16};
+      Reader R(Record.data() + RecordHeaderBytes,
+               Record.size() - RecordHeaderBytes);
       uint64_t Hi = R.u64();
       uint64_t Lo = R.u64();
-      if (Hi != Poll.ScopeHi || Lo != Poll.ScopeLo)
+      if (!R.ok() || Hi != Poll.ScopeHi || Lo != Poll.ScopeLo)
         continue;
     }
     BatchBytes += Record.size();
@@ -1350,7 +1229,7 @@ DiskCertStore::applyReplicatedRecord(const uint8_t *Data, size_t Size) {
     ++Stats.CorruptSkipped;
     return ApplyResult::Corrupt;
   }
-  ByteReader R{Data, RecordHeaderBytes};
+  Reader R(Data, RecordHeaderBytes);
   uint32_t Magic = R.u32();
   uint32_t PayloadBytes = R.u32();
   uint64_t Checksum = R.u64();
@@ -1362,29 +1241,11 @@ DiskCertStore::applyReplicatedRecord(const uint8_t *Data, size_t Size) {
     ++Stats.CorruptSkipped;
     return ApplyResult::Corrupt;
   }
-  if (Index.count(Key)) {
-    // Replays (EpochReset resyncs, duplicate deltas) are no-ops — the
-    // normal duplicate-decline path makes replication idempotent.
-    ++Stats.DuplicatesDeclined;
-    return ApplyResult::Duplicate;
-  }
-  // Append the *identical bytes* the source shipped: a replicated
-  // certificate is byte-for-byte the source's record payload.
-  std::vector<uint8_t> Record(Data, Data + Size);
-  RecordRef Ref;
-  if (!appendLocked(Record, Ref))
-    return ApplyResult::Declined;
-  Ref.Checksum = Checksum;
-  Ref.Kind = Cert.Kind;
-  Ref.CertifiedRadius = Cert.CertifiedRadius;
-  auto [It, Inserted] = Index.emplace(std::move(Key), Ref);
-  if (Inserted)
-    RangeIndex.add(It->first, Ref.Kind, Ref.CertifiedRadius);
-  ++Stats.Stores;
-  ++Stats.LiveRecords;
-  Stats.LiveBytes += Size;
-  applyRetentionLocked();
-  return ApplyResult::Applied;
+  // Replays (EpochReset resyncs, duplicate deltas) are declined as
+  // duplicates, which makes replication idempotent. Otherwise append
+  // the *identical bytes* the source shipped: a replicated certificate
+  // is byte-for-byte the source's record payload.
+  return insertRecordLocked(std::move(Key), Cert, Data, Size);
 }
 
 StoreStats DiskCertStore::stats() const {

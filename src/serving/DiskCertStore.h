@@ -37,9 +37,12 @@
 /// the next compaction (their certificates are simply re-verified;
 /// always sound).
 ///
-/// Every multi-byte field is explicitly little-endian; a record is
-/// written with a single `write(2)` call, so a crash can only leave a
-/// *torn tail*, never an interleaved one.
+/// Every multi-byte field is explicitly little-endian, written and read
+/// with the serving tier's one codec (support/ByteCodec.h), whose
+/// range-checked enum reads reject the same bytes the wire decoder
+/// does. A record is written with one `writeFull` (support/FdIo.h) under
+/// the lock, so a crash can only leave a *torn tail*, never an
+/// interleaved one; segment reads go through `readFull`/`preadFull`.
 ///
 /// Alongside the segments lives `journal.antj` (serving/StoreJournal.h):
 /// a replication journal assigning every appended record a serial within
@@ -290,6 +293,12 @@ private:
   /// holds the mutex.
   void ingestJournalEntryLocked(const StoreJournal::Entry &E);
 
+  /// Indexes the validated record \p E names under \p Key (first record
+  /// of a key wins; later ones count as `DuplicateRecords`). Caller
+  /// holds the mutex.
+  void indexRecordLocked(StoreKey &&Key, const Certificate &Cert,
+                         const StoreJournal::Entry &E);
+
   /// The epoch a record-removing rewrite publishes under: one past the
   /// max of our cached epoch and whatever the on-disk header says, so
   /// epochs stay monotone across sibling writers. Caller holds the
@@ -313,10 +322,20 @@ private:
   /// Read fd for \p Segment, opened on demand and cached. -1 on failure.
   int readFdLocked(uint32_t Segment);
 
-  /// Appends one serialized record under the cross-process exclusive
-  /// lock and journals it; fills \p Ref with where it landed. Caller
-  /// holds the mutex.
-  bool appendLocked(const std::vector<uint8_t> &Record, RecordRef &Ref);
+  /// Appends one serialized record for \p K (whose certificate is
+  /// \p Cert) under the cross-process exclusive lock, journals and
+  /// indexes it. A key already indexed is declined as `Duplicate` —
+  /// including one a sibling appended, which only the journal sync under
+  /// the lock reveals. `Declined` when the lock or the write fails.
+  /// Caller holds the mutex.
+  ApplyResult insertRecordLocked(StoreKey &&K, const Certificate &Cert,
+                                 const uint8_t *Record, size_t Size);
+
+  /// The write half of `insertRecordLocked`: appends \p Record to the
+  /// current segment (rotating as needed) and journals it as \p E.
+  /// Caller holds the mutex and the flock.
+  bool appendLocked(const uint8_t *Record, size_t Size,
+                    StoreJournal::Entry &E);
 
   /// How a record read failed, if it did. The distinction matters for
   /// index hygiene: a transient failure must leave the entry in place

@@ -7,102 +7,31 @@
 
 #include "serving/NetProtocol.h"
 
+#include "support/ByteCodec.h"
+
 #include <algorithm>
-#include <cstring>
 
 using namespace antidote;
 
 namespace {
 
-/// Fixed-width little-endian append/consume helpers. Floats travel as
-/// their bit patterns (the BitHash storage policy the disk store also
-/// uses), so a query round-trips bit-identically — -0.0 and NaN
-/// payloads included.
-class Writer {
-public:
-  explicit Writer(std::string &Out) : Out(Out) {}
+using Writer = codec::Writer<std::string>;
+using codec::Reader;
 
-  void u8(uint8_t V) { Out.push_back(static_cast<char>(V)); }
-  void u32(uint32_t V) { le(V); }
-  void u64(uint64_t V) { le(V); }
-  void f32(float V) {
-    uint32_t Bits;
-    std::memcpy(&Bits, &V, sizeof(Bits));
-    le(Bits);
-  }
-  void f64(double V) {
-    uint64_t Bits;
-    std::memcpy(&Bits, &V, sizeof(Bits));
-    le(Bits);
-  }
-
-private:
-  template <typename T> void le(T V) {
-    for (size_t I = 0; I < sizeof(T); ++I)
-      Out.push_back(static_cast<char>((V >> (8 * I)) & 0xFF));
-  }
-
-  std::string &Out;
-};
-
-/// Bounds-checked reads; any overrun flips `Ok` and zero-fills, so the
-/// caller checks once at the end instead of after every field.
-class Reader {
-public:
-  Reader(const uint8_t *Data, size_t Size) : Data(Data), Size(Size) {}
-
-  uint8_t u8() { return static_cast<uint8_t>(le<uint8_t>()); }
-  uint32_t u32() { return le<uint32_t>(); }
-  uint64_t u64() { return le<uint64_t>(); }
-  float f32() {
-    uint32_t Bits = le<uint32_t>();
-    float V;
-    std::memcpy(&V, &Bits, sizeof(V));
-    return V;
-  }
-  double f64() {
-    uint64_t Bits = le<uint64_t>();
-    double V;
-    std::memcpy(&V, &Bits, sizeof(V));
-    return V;
-  }
-
-  bool ok() const { return Ok; }
-  bool exhausted() const { return Ok && Pos == Size; }
-  size_t remaining() const { return Size - Pos; }
-  void skip(size_t N) {
-    if (Size - Pos < N) {
-      Ok = false;
-      Pos = Size;
-      return;
-    }
-    Pos += N;
-  }
-
-private:
-  template <typename T> T le() {
-    if (Size - Pos < sizeof(T)) {
-      Ok = false;
-      Pos = Size;
-      return T();
-    }
-    uint64_t V = 0;
-    for (size_t I = 0; I < sizeof(T); ++I)
-      V |= static_cast<uint64_t>(Data[Pos + I]) << (8 * I);
-    Pos += sizeof(T);
-    return static_cast<T>(V);
-  }
-
-  const uint8_t *Data;
-  size_t Size;
-  size_t Pos = 0;
-  bool Ok = true;
-};
-
-void writeHeader(std::string &Out, uint32_t Magic, uint32_t PayloadLen) {
-  Writer W(Out);
+/// One whole frame: the 8-byte header, then the payload \p WritePayload
+/// appends.
+template <typename PayloadFn>
+std::string encodeFrame(uint32_t Magic, PayloadFn &&WritePayload) {
+  std::string Payload;
+  Writer PW(Payload);
+  WritePayload(PW);
+  std::string Frame;
+  Frame.reserve(8 + Payload.size());
+  Writer W(Frame);
   W.u32(Magic);
-  W.u32(PayloadLen);
+  W.u32(static_cast<uint32_t>(Payload.size()));
+  Frame += Payload;
+  return Frame;
 }
 
 void writeCertificate(Writer &W, const Certificate &Cert) {
@@ -122,74 +51,55 @@ void writeCertificate(Writer &W, const Certificate &Cert) {
   W.f64(Cert.Seconds);
 }
 
-bool readCertificate(Reader &R, Certificate &Cert) {
-  uint8_t Kind = R.u8();
+void readCertificate(Reader &R, Certificate &Cert) {
+  Cert.Kind = R.enumU8(VerdictKind::Cancelled);
   Cert.PoisoningBudget = R.u32();
   Cert.CertifiedRadius = R.u32();
   Cert.Depth = R.u32();
-  uint8_t Domain = R.u8();
-  uint8_t Threat = R.u8();
+  Cert.Domain = R.enumU8(AbstractDomainKind::DisjunctsCapped);
+  Cert.Threat = R.enumU8(ThreatModelKind::LabelFlip);
   Cert.ConcretePrediction = R.u32();
-  uint8_t HasDominating = R.u8();
+  bool HasDominating = R.flag();
   uint32_t Dominating = R.u32();
+  Cert.DominatingClass =
+      HasDominating ? std::optional<unsigned>(Dominating) : std::nullopt;
   Cert.NumTerminals = R.u64();
   Cert.PeakDisjuncts = R.u64();
   Cert.PeakStateBytes = R.u64();
   Cert.BestSplitCalls = R.u32();
   Cert.Seconds = R.f64();
-  if (!R.ok() || Kind > static_cast<uint8_t>(VerdictKind::Cancelled) ||
-      Domain > static_cast<uint8_t>(AbstractDomainKind::DisjunctsCapped) ||
-      Threat > static_cast<uint8_t>(ThreatModelKind::LabelFlip) ||
-      HasDominating > 1)
-    return false;
-  Cert.Kind = static_cast<VerdictKind>(Kind);
-  Cert.Domain = static_cast<AbstractDomainKind>(Domain);
-  Cert.Threat = static_cast<ThreatModelKind>(Threat);
-  Cert.DominatingClass =
-      HasDominating ? std::optional<unsigned>(Dominating) : std::nullopt;
-  return true;
 }
 
 } // namespace
 
 std::string antidote::encodeRequestFrame(const NetRequest &Request) {
-  std::string Payload;
-  Writer W(Payload);
-  W.u64(Request.Tag);
-  W.u32(Request.PoisoningBudget);
-  W.u32(Request.DeadlineMillis);
-  W.u32(static_cast<uint32_t>(Request.X.size()));
-  for (float V : Request.X)
-    W.f32(V);
-
-  std::string Frame;
-  writeHeader(Frame, NetRequestMagic, static_cast<uint32_t>(Payload.size()));
-  Frame += Payload;
-  return Frame;
+  return encodeFrame(NetRequestMagic, [&](Writer &W) {
+    W.u64(Request.Tag);
+    W.u32(Request.PoisoningBudget);
+    W.u32(Request.DeadlineMillis);
+    W.u32(static_cast<uint32_t>(Request.X.size()));
+    for (float V : Request.X)
+      W.f32(V);
+  });
 }
 
 std::string antidote::encodeResponseFrame(const NetResponse &Response) {
-  std::string Payload;
-  Writer W(Payload);
-  W.u64(Response.Tag);
-  W.u8(static_cast<uint8_t>(Response.Status));
-  switch (Response.Status) {
-  case NetStatus::Ok:
-    W.u8(static_cast<uint8_t>(Response.Path));
-    writeCertificate(W, Response.Cert);
-    break;
-  case NetStatus::Shed:
-    W.u8(static_cast<uint8_t>(Response.ShedReason));
-    break;
-  case NetStatus::Error:
-    W.u8(static_cast<uint8_t>(Response.ErrorReason));
-    break;
-  }
-
-  std::string Frame;
-  writeHeader(Frame, NetResponseMagic, static_cast<uint32_t>(Payload.size()));
-  Frame += Payload;
-  return Frame;
+  return encodeFrame(NetResponseMagic, [&](Writer &W) {
+    W.u64(Response.Tag);
+    W.u8(static_cast<uint8_t>(Response.Status));
+    switch (Response.Status) {
+    case NetStatus::Ok:
+      W.u8(static_cast<uint8_t>(Response.Path));
+      writeCertificate(W, Response.Cert);
+      break;
+    case NetStatus::Shed:
+      W.u8(static_cast<uint8_t>(Response.ShedReason));
+      break;
+    case NetStatus::Error:
+      W.u8(static_cast<uint8_t>(Response.ErrorReason));
+      break;
+    }
+  });
 }
 
 std::optional<NetRequest> antidote::decodeRequestPayload(const uint8_t *Data,
@@ -215,33 +125,18 @@ antidote::decodeResponsePayload(const uint8_t *Data, size_t Size) {
   Reader R(Data, Size);
   NetResponse Response;
   Response.Tag = R.u64();
-  uint8_t Status = R.u8();
-  if (!R.ok() || Status > static_cast<uint8_t>(NetStatus::Error))
-    return std::nullopt;
-  Response.Status = static_cast<NetStatus>(Status);
+  Response.Status = R.enumU8(NetStatus::Error);
   switch (Response.Status) {
-  case NetStatus::Ok: {
-    uint8_t Path = R.u8();
-    if (!R.ok() || Path > static_cast<uint8_t>(NetServePath::ShedProbe) ||
-        !readCertificate(R, Response.Cert))
-      return std::nullopt;
-    Response.Path = static_cast<NetServePath>(Path);
+  case NetStatus::Ok:
+    Response.Path = R.enumU8(NetServePath::ShedProbe);
+    readCertificate(R, Response.Cert);
     break;
-  }
-  case NetStatus::Shed: {
-    uint8_t Reason = R.u8();
-    if (!R.ok() || Reason > static_cast<uint8_t>(NetShedReason::Paced))
-      return std::nullopt;
-    Response.ShedReason = static_cast<NetShedReason>(Reason);
+  case NetStatus::Shed:
+    Response.ShedReason = R.enumU8(NetShedReason::Paced);
     break;
-  }
-  case NetStatus::Error: {
-    uint8_t Reason = R.u8();
-    if (!R.ok() || Reason > static_cast<uint8_t>(NetErrorReason::BadBudget))
-      return std::nullopt;
-    Response.ErrorReason = static_cast<NetErrorReason>(Reason);
+  case NetStatus::Error:
+    Response.ErrorReason = R.enumU8(NetErrorReason::BadBudget);
     break;
-  }
   }
   if (!R.exhausted())
     return std::nullopt;
@@ -250,41 +145,28 @@ antidote::decodeResponsePayload(const uint8_t *Data, size_t Size) {
 
 std::string
 antidote::encodeJournalPollFrame(const ReplicationEndpoint::PollRequest &Poll) {
-  std::string Payload;
-  Writer W(Payload);
-  W.u64(Poll.Epoch);
-  W.u64(Poll.Serial);
-  W.u64(Poll.ScopeHi);
-  W.u64(Poll.ScopeLo);
-  W.u32(Poll.MaxRecords);
-
-  std::string Frame;
-  writeHeader(Frame, NetJournalPollMagic,
-              static_cast<uint32_t>(Payload.size()));
-  Frame += Payload;
-  return Frame;
+  return encodeFrame(NetJournalPollMagic, [&](Writer &W) {
+    W.u64(Poll.Epoch);
+    W.u64(Poll.Serial);
+    W.u64(Poll.ScopeHi);
+    W.u64(Poll.ScopeLo);
+    W.u32(Poll.MaxRecords);
+  });
 }
 
 std::string
 antidote::encodeJournalDeltaFrame(const ReplicationEndpoint::Delta &Delta) {
-  std::string Payload;
-  Writer W(Payload);
-  W.u8(static_cast<uint8_t>(Delta.Status));
-  W.u64(Delta.Epoch);
-  W.u64(Delta.NextSerial);
-  W.u64(Delta.HeadSerial);
-  W.u32(static_cast<uint32_t>(Delta.Records.size()));
-  for (const std::vector<uint8_t> &Record : Delta.Records) {
-    W.u32(static_cast<uint32_t>(Record.size()));
-    Payload.append(reinterpret_cast<const char *>(Record.data()),
-                   Record.size());
-  }
-
-  std::string Frame;
-  writeHeader(Frame, NetJournalDeltaMagic,
-              static_cast<uint32_t>(Payload.size()));
-  Frame += Payload;
-  return Frame;
+  return encodeFrame(NetJournalDeltaMagic, [&](Writer &W) {
+    W.u8(static_cast<uint8_t>(Delta.Status));
+    W.u64(Delta.Epoch);
+    W.u64(Delta.NextSerial);
+    W.u64(Delta.HeadSerial);
+    W.u32(static_cast<uint32_t>(Delta.Records.size()));
+    for (const std::vector<uint8_t> &Record : Delta.Records) {
+      W.u32(static_cast<uint32_t>(Record.size()));
+      W.bytes(Record.data(), Record.size());
+    }
+  });
 }
 
 std::optional<ReplicationEndpoint::PollRequest>
@@ -305,24 +187,20 @@ std::optional<ReplicationEndpoint::Delta>
 antidote::decodeJournalDeltaPayload(const uint8_t *Data, size_t Size) {
   Reader R(Data, Size);
   ReplicationEndpoint::Delta Delta;
-  uint8_t Status = R.u8();
+  Delta.Status = R.enumU8(ReplicationEndpoint::PollStatus::Unavailable);
   Delta.Epoch = R.u64();
   Delta.NextSerial = R.u64();
   Delta.HeadSerial = R.u64();
   uint32_t NumRecords = R.u32();
-  if (!R.ok() ||
-      Status > static_cast<uint8_t>(
-                   ReplicationEndpoint::PollStatus::Unavailable))
+  if (!R.ok())
     return std::nullopt;
-  Delta.Status = static_cast<ReplicationEndpoint::PollStatus>(Status);
   Delta.Records.reserve(std::min<uint32_t>(NumRecords, 4096));
   for (uint32_t I = 0; I < NumRecords; ++I) {
     uint32_t Bytes = R.u32();
-    if (!R.ok() || R.remaining() < Bytes)
+    const uint8_t *Start = R.skip(Bytes);
+    if (!R.ok())
       return std::nullopt;
-    const uint8_t *Start = Data + (Size - R.remaining());
     Delta.Records.emplace_back(Start, Start + Bytes);
-    R.skip(Bytes);
   }
   if (!R.exhausted())
     return std::nullopt;
@@ -339,9 +217,9 @@ bool FrameReader::feed(const uint8_t *Data, size_t Size) {
   // buffer unboundedly.
   size_t Pos = 0;
   while (Buffer.size() - Pos >= 8) {
-    uint32_t FrameMagic = 0, Length = 0;
-    std::memcpy(&FrameMagic, Buffer.data() + Pos, 4);
-    std::memcpy(&Length, Buffer.data() + Pos + 4, 4);
+    Reader Header(Buffer.data() + Pos, 8);
+    uint32_t FrameMagic = Header.u32();
+    uint32_t Length = Header.u32();
     if ((FrameMagic != Magic1 && (Magic2 == 0 || FrameMagic != Magic2)) ||
         Length > MaxBytes) {
       Corrupt = true;
@@ -363,11 +241,9 @@ bool FrameReader::feed(const uint8_t *Data, size_t Size) {
 }
 
 std::optional<std::vector<uint8_t>> FrameReader::next() {
-  if (Ready.empty())
-    return std::nullopt;
-  std::vector<uint8_t> Out = std::move(Ready.front().Payload);
-  Ready.erase(Ready.begin());
-  return Out;
+  if (std::optional<Frame> F = nextFrame())
+    return std::move(F->Payload);
+  return std::nullopt;
 }
 
 std::optional<FrameReader::Frame> FrameReader::nextFrame() {

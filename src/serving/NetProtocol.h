@@ -11,7 +11,10 @@
 /// format is deliberately dumb: fixed little-endian scalars, no varints,
 /// no compression — every byte position is testable as a golden and a
 /// torn read at *any* offset leaves the reader in a recoverable
-/// "need more bytes" state, never a misparse.
+/// "need more bytes" state, never a misparse. Every field is written and
+/// read with the serving tier's one codec (support/ByteCodec.h), the
+/// same one the disk store and journal use; blocking senders go through
+/// support/FdIo.h's `sendFull`.
 ///
 /// Frame layout (both directions):
 ///

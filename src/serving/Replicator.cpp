@@ -8,6 +8,7 @@
 #include "serving/Replicator.h"
 
 #include "serving/NetProtocol.h"
+#include "support/FdIo.h"
 
 #include <cerrno>
 #include <chrono>
@@ -131,16 +132,8 @@ bool Replicator::pollOnce(bool &More, std::string &Error) {
   Poll.ScopeLo = Config.ScopeLo;
   Poll.MaxRecords = Config.MaxRecords;
   std::string Frame = encodeJournalPollFrame(Poll);
-  size_t Sent = 0;
-  while (Sent < Frame.size()) {
-    ssize_t N = ::send(Sock.get(), Frame.data() + Sent, Frame.size() - Sent,
-                       MSG_NOSIGNAL);
-    if (N < 0 && errno == EINTR)
-      continue;
-    if (N <= 0)
-      return Fail("cannot send poll: " + std::string(std::strerror(errno)));
-    Sent += static_cast<size_t>(N);
-  }
+  if (sendFull(Sock.get(), Frame.data(), Frame.size()) != IoResult::Ok)
+    return Fail("cannot send poll: " + std::string(std::strerror(errno)));
 
   // Block until the one response frame is whole. Delta frames carry a
   // record batch, hence the wider bound.

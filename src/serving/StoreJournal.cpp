@@ -7,8 +7,10 @@
 
 #include "serving/StoreJournal.h"
 
+#include "support/ByteCodec.h"
+#include "support/FdIo.h"
+
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 
 #include <fcntl.h>
@@ -20,84 +22,60 @@ namespace {
 
 constexpr uint32_t JournalMagic = 0x4A544341; // "ACTJ" little-endian.
 
-void putU32(uint8_t *P, uint32_t V) {
-  P[0] = static_cast<uint8_t>(V);
-  P[1] = static_cast<uint8_t>(V >> 8);
-  P[2] = static_cast<uint8_t>(V >> 16);
-  P[3] = static_cast<uint8_t>(V >> 24);
+using HeaderLine = codec::FixedBytes<StoreJournal::HeaderBytes>;
+using EntryLine = codec::FixedBytes<StoreJournal::EntryBytes>;
+
+HeaderLine encodeHeader(uint64_t Epoch, uint64_t Generation) {
+  HeaderLine Line;
+  codec::Writer<HeaderLine> W(Line);
+  W.u32(JournalMagic);
+  W.u32(StoreJournal::FormatVersion);
+  W.u64(Epoch);
+  W.u64(Generation);
+  return Line;
 }
 
-void putU64(uint8_t *P, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    P[I] = static_cast<uint8_t>(V >> (8 * I));
+EntryLine encodeEntry(const StoreJournal::Entry &E) {
+  EntryLine Line;
+  codec::Writer<EntryLine> W(Line);
+  W.u32(E.Segment);
+  W.u32(E.RecordBytes);
+  W.u64(E.Offset);
+  W.u64(E.Checksum);
+  return Line;
 }
 
-uint32_t getU32(const uint8_t *P) {
-  return static_cast<uint32_t>(P[0]) | (static_cast<uint32_t>(P[1]) << 8) |
-         (static_cast<uint32_t>(P[2]) << 16) |
-         (static_cast<uint32_t>(P[3]) << 24);
+/// Reads \p Fd's header; false when unreadable or not a current-format
+/// journal.
+bool readHeader(int Fd, uint64_t &Epoch, uint64_t &Generation) {
+  uint8_t Head[StoreJournal::HeaderBytes];
+  if (preadFull(Fd, Head, sizeof(Head), 0) != IoResult::Ok)
+    return false;
+  codec::Reader R(Head, sizeof(Head));
+  uint32_t Magic = R.u32();
+  uint32_t Version = R.u32();
+  Epoch = R.u64();
+  Generation = R.u64();
+  return Magic == JournalMagic && Version == StoreJournal::FormatVersion;
 }
 
-uint64_t getU64(const uint8_t *P) {
-  uint64_t V = 0;
-  for (int I = 0; I < 8; ++I)
-    V |= static_cast<uint64_t>(P[I]) << (8 * I);
-  return V;
-}
-
-void encodeHeader(uint8_t (&Buf)[StoreJournal::HeaderBytes], uint64_t Epoch,
-                  uint64_t Generation) {
-  putU32(Buf, JournalMagic);
-  putU32(Buf + 4, StoreJournal::FormatVersion);
-  putU64(Buf + 8, Epoch);
-  putU64(Buf + 16, Generation);
-}
-
-void encodeEntry(uint8_t (&Buf)[StoreJournal::EntryBytes],
-                 const StoreJournal::Entry &E) {
-  putU32(Buf, E.Segment);
-  putU32(Buf + 4, E.RecordBytes);
-  putU64(Buf + 8, E.Offset);
-  putU64(Buf + 16, E.Checksum);
-}
-
-StoreJournal::Entry decodeEntry(const uint8_t *Buf) {
-  StoreJournal::Entry E;
-  E.Segment = getU32(Buf);
-  E.RecordBytes = getU32(Buf + 4);
-  E.Offset = getU64(Buf + 8);
-  E.Checksum = getU64(Buf + 16);
-  return E;
-}
-
-bool preadAll(int Fd, uint8_t *Buf, size_t Size, uint64_t Offset) {
-  size_t Done = 0;
-  while (Done < Size) {
-    ssize_t N = ::pread(Fd, Buf + Done, Size - Done,
-                        static_cast<off_t>(Offset + Done));
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    if (N == 0)
-      return false;
-    Done += static_cast<size_t>(N);
-  }
-  return true;
-}
-
-bool pwriteAll(int Fd, const uint8_t *Buf, size_t Size, uint64_t Offset) {
-  size_t Done = 0;
-  while (Done < Size) {
-    ssize_t N = ::pwrite(Fd, Buf + Done, Size - Done,
-                         static_cast<off_t>(Offset + Done));
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    Done += static_cast<size_t>(N);
+/// Appends entries [\p From, \p To) of \p Fd's journal to \p Out, in
+/// one read.
+bool readEntries(int Fd, uint64_t From, uint64_t To,
+                 std::vector<StoreJournal::Entry> &Out) {
+  std::vector<uint8_t> Bytes((To - From) * StoreJournal::EntryBytes);
+  if (preadFull(Fd, Bytes.data(), Bytes.size(),
+                StoreJournal::HeaderBytes + From * StoreJournal::EntryBytes) !=
+      IoResult::Ok)
+    return false;
+  codec::Reader R(Bytes.data(), Bytes.size());
+  for (uint64_t I = From; I < To; ++I) {
+    StoreJournal::Entry E;
+    E.Segment = R.u32();
+    E.RecordBytes = R.u32();
+    E.Offset = R.u64();
+    E.Checksum = R.u64();
+    Out.push_back(E);
   }
   return true;
 }
@@ -174,17 +152,10 @@ bool StoreJournal::loadFile(std::string &Error) {
     Error = "journal too short";
     return false;
   }
-  uint8_t Head[HeaderBytes];
-  if (!preadAll(Fd, Head, HeaderBytes, 0)) {
-    Error = "journal header unreadable";
+  if (!readHeader(Fd, Epoch, Generation)) {
+    Error = "journal header unreadable or of another format";
     return false;
   }
-  if (getU32(Head) != JournalMagic || getU32(Head + 4) != FormatVersion) {
-    Error = "journal magic/version mismatch";
-    return false;
-  }
-  Epoch = getU64(Head + 8);
-  Generation = getU64(Head + 16);
 
   uint64_t Body = Size - HeaderBytes;
   uint64_t Whole = Body / EntryBytes;
@@ -201,23 +172,17 @@ bool StoreJournal::loadFile(std::string &Error) {
   }
 
   Entries.clear();
-  Entries.reserve(Whole);
-  uint8_t Buf[EntryBytes];
-  for (uint64_t I = 0; I < Whole; ++I) {
-    if (!preadAll(Fd, Buf, EntryBytes, HeaderBytes + I * EntryBytes)) {
-      Error = "journal entry unreadable";
-      return false;
-    }
-    Entries.push_back(decodeEntry(Buf));
+  if (!readEntries(Fd, 0, Whole, Entries)) {
+    Error = "journal entries unreadable";
+    return false;
   }
   Valid = true;
   return true;
 }
 
 bool StoreJournal::writeHeaderLocked() {
-  uint8_t Head[HeaderBytes];
-  encodeHeader(Head, Epoch, Generation);
-  return pwriteAll(Fd, Head, HeaderBytes, 0);
+  HeaderLine Head = encodeHeader(Epoch, Generation);
+  return pwriteFull(Fd, Head.data(), Head.size(), 0) == IoResult::Ok;
 }
 
 bool StoreJournal::append(const Entry &E) {
@@ -226,11 +191,11 @@ bool StoreJournal::append(const Entry &E) {
   ++Generation;
   if (!Writable || Fd < 0 || !Valid)
     return false;
-  uint8_t Buf[EntryBytes];
-  encodeEntry(Buf, E);
+  EntryLine Line = encodeEntry(E);
   // Entry first, then the generation bump: a peeker that sees the new
   // generation is guaranteed to find the entry it advertises.
-  bool Ok = pwriteAll(Fd, Buf, EntryBytes, HeaderBytes + Index * EntryBytes);
+  bool Ok = pwriteFull(Fd, Line.data(), Line.size(),
+                       HeaderBytes + Index * EntryBytes) == IoResult::Ok;
   Ok = writeHeaderLocked() && Ok;
   return Ok;
 }
@@ -249,16 +214,16 @@ bool StoreJournal::reset(uint64_t NewEpoch, std::vector<Entry> NewEntries) {
                      0644);
   if (TmpFd < 0)
     return false;
-  std::vector<uint8_t> Bytes(HeaderBytes + Entries.size() * EntryBytes);
-  uint8_t Head[HeaderBytes];
-  encodeHeader(Head, Epoch, Generation);
-  std::memcpy(Bytes.data(), Head, HeaderBytes);
-  for (size_t I = 0; I < Entries.size(); ++I) {
-    uint8_t Buf[EntryBytes];
-    encodeEntry(Buf, Entries[I]);
-    std::memcpy(Bytes.data() + HeaderBytes + I * EntryBytes, Buf, EntryBytes);
+  std::vector<uint8_t> Bytes;
+  Bytes.reserve(HeaderBytes + Entries.size() * EntryBytes);
+  codec::Writer<std::vector<uint8_t>> W(Bytes);
+  HeaderLine Head = encodeHeader(Epoch, Generation);
+  W.bytes(Head.data(), Head.size());
+  for (const Entry &E : Entries) {
+    EntryLine Line = encodeEntry(E);
+    W.bytes(Line.data(), Line.size());
   }
-  bool Ok = pwriteAll(TmpFd, Bytes.data(), Bytes.size(), 0);
+  bool Ok = writeFull(TmpFd, Bytes.data(), Bytes.size()) == IoResult::Ok;
   Ok = ::fsync(TmpFd) == 0 && Ok;
   ::close(TmpFd);
   if (!Ok || ::rename(Tmp.c_str(), Path.c_str()) != 0) {
@@ -286,16 +251,8 @@ StoreJournal::Header StoreJournal::peekHeader() const {
   int PeekFd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
   if (PeekFd < 0)
     return H;
-  uint8_t Head[HeaderBytes];
-  bool Ok = preadAll(PeekFd, Head, HeaderBytes, 0);
+  H.Ok = readHeader(PeekFd, H.Epoch, H.Generation);
   ::close(PeekFd);
-  if (!Ok)
-    return H;
-  if (getU32(Head) != JournalMagic || getU32(Head + 4) != FormatVersion)
-    return H;
-  H.Epoch = getU64(Head + 8);
-  H.Generation = getU64(Head + 16);
-  H.Ok = true;
   return H;
 }
 
@@ -329,12 +286,8 @@ bool StoreJournal::refresh(uint64_t &FirstNewSerial) {
   }
   FirstNewSerial = From + 1;
 
-  uint8_t Buf[EntryBytes];
-  for (uint64_t I = From; I < Whole; ++I) {
-    if (!preadAll(Fd, Buf, EntryBytes, HeaderBytes + I * EntryBytes))
-      return false;
-    Entries.push_back(decodeEntry(Buf));
-  }
+  if (!readEntries(Fd, From, Whole, Entries))
+    return false;
   Epoch = H.Epoch;
   Generation = H.Generation;
   Valid = true;

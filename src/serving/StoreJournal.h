@@ -26,6 +26,10 @@
 ///       u64 record offset within the segment
 ///       u64 payload checksum (FNV-1a 64, same as the record header)
 ///
+/// Header and entries are encoded with support/ByteCodec.h (the same
+/// codec as the segments and the wire; an entry encodes without a heap
+/// allocation) and moved with support/FdIo.h's `preadFull`/`pwriteFull`.
+///
 /// Serial numbers are implicit: the entry at index i holds serial i+1
 /// within the current epoch. The journal is *derived* data — the
 /// segments stay the system of record — so it never needs fsync

@@ -1177,3 +1177,269 @@ TEST(DiskCertStoreTest, ReadOnlyOpenServesBesideALiveWriter) {
   expectIdenticalCertificates(Later, Seen);
   EXPECT_GE(Reader->stats().IndexRefreshes, 1u);
 }
+
+//===----------------------------------------------------------------------===//
+// Byte goldens: the segment and journal layouts, every byte pinned
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Stores one certificate whose key and certificate fields all carry
+/// distinct multi-byte values into a fresh store at \p Dir, so a
+/// reordered, resized or byte-swapped field moves at least one byte of
+/// the goldens below. Returns the stored certificate.
+Certificate writeGoldenStore(const std::string &Dir, DatasetFingerprint &FP,
+                             VerifierConfig &Config) {
+  FP.Hi = 0x0102030405060708ULL;
+  FP.Lo = 0x1112131415161718ULL;
+  Config.Depth = 3;
+  Config.Domain = AbstractDomainKind::DisjunctsCapped;
+  Config.Threat = ThreatModelKind::LabelFlip;
+  Config.Cprob = CprobTransformerKind::NaiveInterval;
+  Config.Gini = GiniLiftingKind::NaturalLifting;
+  Config.DisjunctCap = 33;
+  Config.Limits.TimeoutSeconds = 2.5;
+  Config.Limits.MaxDisjuncts = 0x10000;
+  Config.Limits.MaxStateBytes = 0x123456789ULL;
+
+  Certificate Cert;
+  Cert.Kind = VerdictKind::Robust;
+  Cert.PoisoningBudget = 5;
+  Cert.CertifiedRadius = 7;
+  Cert.Depth = 3;
+  Cert.Domain = AbstractDomainKind::DisjunctsCapped;
+  Cert.Threat = ThreatModelKind::LabelFlip;
+  Cert.ConcretePrediction = 1;
+  Cert.DominatingClass = 1;
+  Cert.NumTerminals = 0x0A0B0C0D0EULL;
+  Cert.PeakDisjuncts = 0x10001;
+  Cert.PeakStateBytes = 0x1122334455667788ULL;
+  Cert.BestSplitCalls = 0xABCDEF;
+  Cert.Seconds = 0.125;
+
+  const float X[] = {1.5f, -0.0f};
+  std::unique_ptr<DiskCertStore> Store = openOrDie(Dir);
+  Store->store(FP, X, 2, /*PoisoningBudget=*/5, Config, Cert);
+  EXPECT_EQ(Store->stats().Stores, 1u);
+  return Cert;
+}
+
+void expectBytes(const std::vector<uint8_t> &Got, const uint8_t *Expected,
+                 size_t Size) {
+  ASSERT_EQ(Got.size(), Size);
+  for (size_t I = 0; I < Size; ++I)
+    EXPECT_EQ(Got[I], Expected[I]) << "byte " << I;
+}
+
+} // namespace
+
+TEST(DiskFormatGoldenTest, SegmentHeaderAndRecord) {
+  TempStoreDir Dir;
+  DatasetFingerprint FP;
+  VerifierConfig Config;
+  Certificate Stored = writeGoldenStore(Dir.path(), FP, Config);
+
+  const uint8_t Expected[] = {
+      // Segment header.
+      'A', 'C', 'S', 'T',                             // magic
+      0x03, 0x00, 0x00, 0x00,                         // format version 3
+      // Record header.
+      'C', 'E', 'R', 'T',                             // magic
+      0x84, 0x00, 0x00, 0x00,                         // payload = 132
+      0x59, 0x34, 0x7D, 0x92, 0x7D, 0xF4, 0x24, 0x19, // FNV-1a 64
+      // Payload, key section.
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // fingerprint hi
+      0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11, // fingerprint lo
+      0x05, 0x00, 0x00, 0x00,                         // poisoningBudget
+      0x03, 0x00, 0x00, 0x00,                         // depth
+      0x02,                                           // domain
+      0x01,                                           // cprob
+      0x01,                                           // gini
+      0x01,                                           // threat
+      0x21, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // disjunctCap
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x40, // timeout 2.5
+      0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, // maxDisjuncts
+      0x89, 0x67, 0x45, 0x23, 0x01, 0x00, 0x00, 0x00, // maxStateBytes
+      0x02, 0x00, 0x00, 0x00,                         // numFeatures
+      0x00, 0x00, 0xC0, 0x3F,                         // 1.5f
+      0x00, 0x00, 0x00, 0x80,                         // -0.0f
+      // Payload, certificate section.
+      0x00,                                           // kind = Robust
+      0x05, 0x00, 0x00, 0x00,                         // poisoningBudget
+      0x03, 0x00, 0x00, 0x00,                         // depth
+      0x02,                                           // domain
+      0x01,                                           // threat
+      0x01, 0x00, 0x00, 0x00,                         // concretePrediction
+      0x01,                                           // hasDominating
+      0x01, 0x00, 0x00, 0x00,                         // dominatingClass
+      0x0E, 0x0D, 0x0C, 0x0B, 0x0A, 0x00, 0x00, 0x00, // numTerminals
+      0x01, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, // peakDisjuncts
+      0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11, // peakStateBytes
+      0xEF, 0xCD, 0xAB, 0x00,                         // bestSplitCalls
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xC0, 0x3F, // seconds = 0.125
+      0x07, 0x00, 0x00, 0x00,                         // certifiedRadius
+  };
+  expectBytes(readFileBytes(Dir.sub("seg-000001.antcert")), Expected,
+              sizeof(Expected));
+
+  // The pinned bytes decode back to the stored certificate.
+  std::unique_ptr<DiskCertStore> Reopened = openOrDie(Dir.path());
+  EXPECT_EQ(Reopened->stats().LiveRecords, 1u);
+  const float X[] = {1.5f, -0.0f};
+  Certificate Out;
+  ASSERT_TRUE(Reopened->lookup(FP, X, 2, 5, Config, Out));
+  expectIdenticalCertificates(Stored, Out);
+  EXPECT_EQ(Out.Threat, Stored.Threat);
+}
+
+TEST(DiskFormatGoldenTest, JournalHeaderAndEntry) {
+  TempStoreDir Dir;
+  DatasetFingerprint FP;
+  VerifierConfig Config;
+  writeGoldenStore(Dir.path(), FP, Config);
+
+  const uint8_t Expected[] = {
+      // Header.
+      'A', 'C', 'T', 'J',                             // magic
+      0x01, 0x00, 0x00, 0x00,                         // format version 1
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // epoch 1
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // generation 2
+      // Entry for serial 1.
+      0x01, 0x00, 0x00, 0x00,                         // segment 1
+      0x94, 0x00, 0x00, 0x00,                         // record bytes 148
+      0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // offset 8
+      0x59, 0x34, 0x7D, 0x92, 0x7D, 0xF4, 0x24, 0x19, // payload checksum
+  };
+  expectBytes(readFileBytes(Dir.sub("journal.antj")), Expected,
+              sizeof(Expected));
+}
+
+//===----------------------------------------------------------------------===//
+// Enum bytes are range-checked on every read path
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Recomputes the FNV-1a 64 payload checksum of the record at \p Span
+/// in place, so a patched record looks structurally intact.
+void rechecksum(std::vector<uint8_t> &Segment, const RecordSpan &Span) {
+  uint64_t H = 0xcbf29ce484222325ull;
+  for (size_t I = Span.Offset + 16; I < Span.Offset + Span.Bytes; ++I) {
+    H ^= Segment[I];
+    H *= 0x100000001b3ull;
+  }
+  for (int I = 0; I < 8; ++I)
+    Segment[Span.Offset + 8 + I] = static_cast<uint8_t>(H >> (8 * I));
+}
+
+} // namespace
+
+TEST(DiskCertStoreTest, OutOfRangeEnumBytesAreCorruptOnApplyAndOpen) {
+  // A record whose checksum is intact but whose enum bytes name no
+  // enumerator must be rejected exactly like the wire decoder rejects
+  // it — otherwise a lookup would serve a certificate the server could
+  // not even put on the wire.
+  TempStoreDir Source;
+  Dataset Train = figure2Dataset();
+  Verifier V(Train);
+  seedStore(Source.path(), V, {9.5f});
+  std::vector<uint8_t> Segment =
+      readFileBytes(Source.sub("seg-000001.antcert"));
+  std::vector<RecordSpan> Spans = parseRecordSpans(Segment);
+  ASSERT_EQ(Spans.size(), 1u);
+  const RecordSpan Span = Spans[0];
+
+  // Payload offsets (one query feature): the key's domain, cprob, gini
+  // and threat bytes at 24..27; the certificate starts at 64 + 4 with
+  // its kind byte, then domain at +9, threat at +10, hasDominating at
+  // +15.
+  struct Patch {
+    size_t PayloadOffset;
+    uint8_t Value;
+    const char *Field;
+  };
+  const Patch Patches[] = {
+      {24, 3, "key domain"},
+      {25, 2, "key cprob"},
+      {26, 2, "key gini"},
+      {27, 2, "key threat"},
+      {68 + 9, 7, "cert domain"},
+      {68 + 10, 2, "cert threat"},
+      {68 + 15, 2, "cert hasDominating"},
+  };
+
+  TempStoreDir ReplicaDir;
+  std::unique_ptr<DiskCertStore> Replica = openOrDie(ReplicaDir.path());
+  ReplicationEndpoint *End = Replica->replication();
+  ASSERT_NE(End, nullptr);
+  for (const Patch &P : Patches) {
+    std::vector<uint8_t> Mutant = Segment;
+    Mutant[Span.Offset + 16 + P.PayloadOffset] = P.Value;
+    rechecksum(Mutant, Span);
+
+    EXPECT_EQ(End->applyReplicatedRecord(Mutant.data() + Span.Offset,
+                                         Span.Bytes),
+              ReplicationEndpoint::ApplyResult::Corrupt)
+        << P.Field;
+
+    TempStoreDir Patched;
+    writeFileBytes(Patched.sub("seg-000001.antcert"), Mutant);
+    std::unique_ptr<DiskCertStore> Opened = openOrDie(Patched.path());
+    EXPECT_EQ(Opened->stats().LiveRecords, 0u) << P.Field;
+    EXPECT_EQ(Opened->stats().CorruptSkipped, 1u) << P.Field;
+  }
+  EXPECT_EQ(Replica->stats().LiveRecords, 0u);
+
+  // The unpatched record still applies: the patches, not the record,
+  // were rejected.
+  EXPECT_EQ(End->applyReplicatedRecord(Segment.data() + Span.Offset,
+                                       Span.Bytes),
+            ReplicationEndpoint::ApplyResult::Applied);
+  EXPECT_EQ(Replica->stats().LiveRecords, 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// A sibling's append of the key being stored
+//===----------------------------------------------------------------------===//
+
+TEST(DiskCertStoreTest, SiblingAppendOfTheSameKeyIsDeclinedNotDuplicated) {
+  // Handle A only learns of B's record for K1 while appending K1 itself
+  // (the journal sync under the flock); that record must be declined
+  // as a duplicate, not appended a second time and double-counted.
+  TempStoreDir Dir;
+  VerifierConfig Config = makeConfig(AbstractDomainKind::Box);
+  DatasetFingerprint FP = someFingerprint();
+  const float K0[] = {1.0f};
+  const float K1[] = {2.0f};
+  std::unique_ptr<DiskCertStore> A = openOrDie(Dir.path());
+  std::unique_ptr<DiskCertStore> B = openOrDie(Dir.path());
+  A->store(FP, K0, 1, 1, Config, makeProof(VerdictKind::Robust, 1));
+  B->store(FP, K1, 1, 1, Config, makeProof(VerdictKind::Robust, 1));
+  A->store(FP, K1, 1, 1, Config, makeProof(VerdictKind::Robust, 1));
+
+  StoreStats Stats = A->stats();
+  EXPECT_EQ(Stats.Stores, 1u);
+  EXPECT_EQ(Stats.DuplicatesDeclined, 1u);
+  EXPECT_EQ(Stats.LiveRecords, 2u);
+  std::unique_ptr<DiskCertStore> Fresh = openOrDie(Dir.path());
+  EXPECT_EQ(Fresh->stats().LiveRecords, 2u);
+  EXPECT_EQ(Fresh->stats().DuplicateRecords, 0u);
+
+  // The replication path takes the same decline: C applies the bytes
+  // of a record D appended after C last looked.
+  TempStoreDir Dir2;
+  std::unique_ptr<DiskCertStore> C = openOrDie(Dir2.path());
+  std::unique_ptr<DiskCertStore> D = openOrDie(Dir2.path());
+  D->store(FP, K1, 1, 1, Config, makeProof(VerdictKind::Robust, 1));
+  std::vector<uint8_t> Segment = readFileBytes(Dir2.sub("seg-000001.antcert"));
+  std::vector<RecordSpan> Spans = parseRecordSpans(Segment);
+  ASSERT_EQ(Spans.size(), 1u);
+  EXPECT_EQ(C->replication()->applyReplicatedRecord(
+                Segment.data() + Spans[0].Offset, Spans[0].Bytes),
+            ReplicationEndpoint::ApplyResult::Duplicate);
+  EXPECT_EQ(C->stats().LiveRecords, 1u);
+  EXPECT_EQ(C->stats().Stores, 0u);
+  std::unique_ptr<DiskCertStore> Fresh2 = openOrDie(Dir2.path());
+  EXPECT_EQ(Fresh2->stats().LiveRecords, 1u);
+  EXPECT_EQ(Fresh2->stats().DuplicateRecords, 0u);
+}

@@ -7,9 +7,10 @@
 
 #include "NetHarness.h"
 
+#include "support/FdIo.h"
+
 #include <algorithm>
 #include <cerrno>
-#include <cstring>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -41,18 +42,7 @@ bool NetClient::sendPartial(const NetRequest &Request, size_t Bytes) {
 }
 
 bool NetClient::sendRaw(const void *Data, size_t Size) {
-  const char *Bytes = static_cast<const char *>(Data);
-  size_t Pos = 0;
-  while (Pos < Size) {
-    ssize_t N = ::send(Sock.get(), Bytes + Pos, Size - Pos, MSG_NOSIGNAL);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    Pos += static_cast<size_t>(N);
-  }
-  return true;
+  return sendFull(Sock.get(), Data, Size) == IoResult::Ok;
 }
 
 bool NetClient::recvResponse(NetResponse &Out, int TimeoutMillis) {

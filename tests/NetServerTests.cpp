@@ -148,6 +148,59 @@ TEST(NetProtocolTest, ShedResponseFrameGolden) {
     EXPECT_EQ(static_cast<uint8_t>(Frame[I]), Expected[I]) << "byte " << I;
 }
 
+TEST(NetProtocolTest, OkResponseFrameGolden) {
+  // Every certificate field set to a distinct multi-byte value, so a
+  // reordered, resized or byte-swapped field moves at least one byte.
+  NetResponse Response;
+  Response.Tag = 0x0102030405060708ULL;
+  Response.Status = NetStatus::Ok;
+  Response.Path = NetServePath::ShedProbe;
+  Response.Cert.Kind = VerdictKind::ResourceLimit;
+  Response.Cert.PoisoningBudget = 0x105;
+  Response.Cert.CertifiedRadius = 0x209;
+  Response.Cert.Depth = 3;
+  Response.Cert.Domain = AbstractDomainKind::DisjunctsCapped;
+  Response.Cert.Threat = ThreatModelKind::LabelFlip;
+  Response.Cert.ConcretePrediction = 4;
+  Response.Cert.DominatingClass = 6;
+  Response.Cert.NumTerminals = 0x0A0B0C0D0EULL;
+  Response.Cert.PeakDisjuncts = 0x10001;
+  Response.Cert.PeakStateBytes = 0x1122334455667788ULL;
+  Response.Cert.BestSplitCalls = 0xABCDEF;
+  Response.Cert.Seconds = 0.125;
+  std::string Frame = encodeResponseFrame(Response);
+
+  const uint8_t Expected[] = {
+      'A',  'N',  'T',  'R',                          // magic
+      0x46, 0x00, 0x00, 0x00,                         // length = 70
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // tag
+      0x00,                                           // status = Ok
+      0x01,                                           // path = ShedProbe
+      0x03,                                           // kind = ResourceLimit
+      0x05, 0x01, 0x00, 0x00,                         // poisoningBudget
+      0x09, 0x02, 0x00, 0x00,                         // certifiedRadius
+      0x03, 0x00, 0x00, 0x00,                         // depth
+      0x02,                                           // domain
+      0x01,                                           // threat
+      0x04, 0x00, 0x00, 0x00,                         // concretePrediction
+      0x01,                                           // hasDominating
+      0x06, 0x00, 0x00, 0x00,                         // dominatingClass
+      0x0E, 0x0D, 0x0C, 0x0B, 0x0A, 0x00, 0x00, 0x00, // numTerminals
+      0x01, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, // peakDisjuncts
+      0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11, // peakStateBytes
+      0xEF, 0xCD, 0xAB, 0x00,                         // bestSplitCalls
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xC0, 0x3F, // seconds = 0.125
+  };
+  ASSERT_EQ(Frame.size(), sizeof(Expected));
+  for (size_t I = 0; I < sizeof(Expected); ++I)
+    EXPECT_EQ(static_cast<uint8_t>(Frame[I]), Expected[I]) << "byte " << I;
+
+  std::optional<NetResponse> Back =
+      decodeResponsePayload(Expected + 8, sizeof(Expected) - 8);
+  ASSERT_TRUE(Back.has_value());
+  EXPECT_EQ(encodeResponseFrame(*Back), Frame);
+}
+
 TEST(NetProtocolTest, ResponseCertificateRoundTripsEveryField) {
   NetResponse Response;
   Response.Tag = 42;
