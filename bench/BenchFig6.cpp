@@ -14,6 +14,7 @@
 #include "BenchUtil.h"
 
 #include "antidote/Report.h"
+#include "serving/CertCache.h"
 
 #include "support/Timer.h"
 
@@ -42,13 +43,19 @@ int main() {
         Config.InstanceLimits.TimeoutSeconds = 0.75;
       }
     }
+    std::unique_ptr<CertCache> Cache = applyEnvKnobs(Config);
     BenchmarkDataset Bench = loadBenchmarkDataset(Name, Scale);
-    std::printf("### %s (train %u, verifying %zu inputs) ###\n",
+    std::printf("### %s (train %u, verifying %zu inputs; jobs %u, frontier "
+                "jobs %u, cert cache %s) ###\n",
                 Name.c_str(), Bench.Split.Train.numRows(),
-                Bench.VerifyRows.size());
+                Bench.VerifyRows.size(), Config.Jobs, Config.FrontierJobs,
+                Cache ? "on" : "off");
     SweepResult Result = runPoisoningSweep(
         Bench.Split.Train, Bench.Split.Test, Bench.VerifyRows, Config);
     printFractionVerifiedSeries(Name, Result, Config.Depths);
+    if (Cache)
+      std::printf("certificate cache: %s\n\n",
+                  Cache->stats().summary().c_str());
   }
 
   std::printf("paper-reported shape: every dataset verifies a sizable "

@@ -11,6 +11,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "abstract/AbstractBestSplit.h"
+#include "abstract/AbstractFilter.h"
 #include "antidote/Sweep.h"
 #include "antidote/Verifier.h"
 #include "data/Registry.h"
@@ -81,6 +82,35 @@ static void BM_AbstractRestrict(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_AbstractRestrict);
+
+// The count-only last frontier level's kernel: summarize every filter#
+// child of one mnist17-real depth-1 disjunct (x = test row 8, the hard
+// query, n = 1) under its full bestSplit# Ψ, without building any child.
+static void BM_AbstractRestrictSummaries(benchmark::State &State) {
+  static const BenchmarkDataset Mnist =
+      loadBenchmarkDataset("mnist17-real", BenchScale::Scaled);
+  static const SplitContext Ctx(Mnist.Split.Train);
+  const float *X = Mnist.Split.Test.row(8);
+  AbstractDataset Root = AbstractDataset::entire(Mnist.Split.Train, 1);
+  PredicateSet RootPsi = *abstractBestSplit(Ctx, Root,
+                                            CprobTransformerKind::Optimal);
+  const SplitPredicate &First = RootPsi.predicates().front();
+  AbstractDataset Parent =
+      Root.restrict(First, First.evaluate(X) != ThreeValued::False);
+  PredicateSet Psi =
+      *abstractBestSplit(Ctx, Parent, CprobTransformerKind::Optimal);
+  RestrictionSummaries Out;
+  for (auto _ : State) {
+    Out.Items.clear();
+    Out.Counts.clear();
+    summarizeRestrictions(Ctx, Parent, Psi, X, Out);
+    benchmark::DoNotOptimize(Out.Items.data());
+  }
+  State.SetItemsProcessed(State.iterations() *
+                          static_cast<int64_t>(Out.size()));
+  State.counters["psi"] = static_cast<double>(Psi.size());
+}
+BENCHMARK(BM_AbstractRestrictSummaries)->Unit(benchmark::kMillisecond);
 
 static void BM_CprobTransformer(benchmark::State &State) {
   CprobTransformerKind Kind =

@@ -72,19 +72,24 @@ std::optional<uint64_t> antidote::benchutil::benchCacheBytesFromEnv() {
   return Env.Value;
 }
 
+std::unique_ptr<CertCache>
+antidote::benchutil::applyEnvKnobs(SweepConfig &Config) {
+  Config.Jobs = benchJobsFromEnv();
+  Config.FrontierJobs = benchFrontierJobsFromEnv();
+  std::optional<uint64_t> CacheBytes = benchCacheBytesFromEnv();
+  if (!CacheBytes)
+    return nullptr;
+  Config.InstanceLimits.MaxCacheBytes = *CacheBytes;
+  auto Cache = std::make_unique<CertCache>(Config.InstanceLimits);
+  Config.Cache = Cache.get();
+  return Cache;
+}
+
 SweepResult
 antidote::benchutil::runFigureBench(const FigureBenchSpec &Spec) {
   BenchScale Scale = benchScaleFromEnv();
   SweepConfig Config = Scale == BenchScale::Full ? Spec.Full : Spec.Scaled;
-  Config.Jobs = benchJobsFromEnv();
-  Config.FrontierJobs = benchFrontierJobsFromEnv();
-  std::optional<uint64_t> CacheBytes = benchCacheBytesFromEnv();
-  std::unique_ptr<CertCache> Cache;
-  if (CacheBytes) {
-    Config.InstanceLimits.MaxCacheBytes = *CacheBytes;
-    Cache = std::make_unique<CertCache>(Config.InstanceLimits);
-    Config.Cache = Cache.get();
-  }
+  std::unique_ptr<CertCache> Cache = applyEnvKnobs(Config);
 
   BenchmarkDataset Bench = loadBenchmarkDataset(Spec.DatasetName, Scale);
   std::printf("=== %s reproduction: %s ===\n", Spec.PaperFigure.c_str(),

@@ -19,10 +19,14 @@
 #include "antidote/Sweep.h"
 #include "data/Registry.h"
 
+#include <memory>
 #include <optional>
 #include <string>
 
 namespace antidote {
+
+class CertCache;
+
 namespace benchutil {
 
 /// Everything one figure bench needs.
@@ -58,6 +62,12 @@ unsigned benchFrontierJobsFromEnv();
 /// cache-less — a single sweep's probes rarely repeat a query, so the
 /// cache is plumbing to exercise, not a figure-bench speedup.
 std::optional<uint64_t> benchCacheBytesFromEnv();
+
+/// Applies ANTIDOTE_JOBS, ANTIDOTE_FRONTIER_JOBS and ANTIDOTE_CACHE_BYTES
+/// to \p Config. Returns the certificate cache \p Config now points at,
+/// which must outlive the sweep, or null when ANTIDOTE_CACHE_BYTES is
+/// unset.
+std::unique_ptr<CertCache> applyEnvKnobs(SweepConfig &Config);
 
 /// Runs the spec at the scale selected by the environment and prints the
 /// figure panels. Returns the sweep result for further custom reporting.

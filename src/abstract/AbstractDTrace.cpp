@@ -10,6 +10,7 @@
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <tuple>
 
 using namespace antidote;
 
@@ -50,12 +51,36 @@ private:
   /// serial learner would have emitted it: the forced probability-vector
   /// terminals (flip model only), then the feasible `pure` abstract-state
   /// terminals, then (when ⋄ ∈ Ψ) the disjunct itself, then the child
-  /// disjuncts.
+  /// disjuncts — built, or on a count-only level summarized, with the Ψ
+  /// they came from kept for a rebuild.
   struct DisjunctStep {
     std::vector<std::vector<Interval>> ForcedTerminals;
     std::vector<AbstractDataset> Terminals;
     std::vector<AbstractDataset> Children;
+    PredicateSet Psi;
+    RestrictionSummaries Summaries;
     bool CalledBestSplit = false;
+  };
+
+  /// The children of a count-only level, merged in disjunct-index order:
+  /// their summaries, the frontier index each came from, and each frontier
+  /// disjunct's Ψ, which is what a rebuild of a child needs.
+  struct SummarizedLevel {
+    RestrictionSummaries Children;
+    std::vector<uint32_t> Parents;
+    std::vector<PredicateSet> Psi;
+
+    size_t size() const { return Children.size(); }
+
+    void append(uint32_t Parent, DisjunctStep &Step) {
+      const RestrictionSummaries &From = Step.Summaries;
+      Children.Items.insert(Children.Items.end(), From.Items.begin(),
+                            From.Items.end());
+      Children.Counts.insert(Children.Counts.end(), From.Counts.begin(),
+                             From.Counts.end());
+      Parents.insert(Parents.end(), From.size(), Parent);
+      Psi[Parent] = std::move(Step.Psi);
+    }
   };
 
   /// Adds a terminal abstract state (a place where some concrete run of
@@ -64,7 +89,9 @@ private:
   void addTerminal(AbstractDataset Terminal) {
     Tracker.addTerminal(Model.classProbabilities(Terminal, Config.Cprob));
     ++Result.NumTerminals;
-    Result.Terminals.push_back(std::move(Terminal));
+    TerminalBytes += Terminal.stateBytes();
+    if (Config.CollectTerminals)
+      Result.Terminals.push_back(std::move(Terminal));
   }
 
   /// Adds a terminal known only as an exact probability vector (a forced
@@ -96,9 +123,16 @@ private:
   }
 
   /// The pure per-disjunct transfer step: the entropy conditional, then
-  /// bestSplit# / the ⋄ conditional / filter#. Const — safe to run on any
-  /// worker concurrently with other disjuncts' steps.
-  DisjunctStep transferStep(const AbstractDataset &Cur) const;
+  /// bestSplit# / the ⋄ conditional / filter#, whose disjunctive children
+  /// are summarized instead of built when \p CountOnly. Const — safe to
+  /// run on any worker concurrently with other disjuncts' steps.
+  DisjunctStep transferStep(const AbstractDataset &Cur, bool CountOnly) const;
+
+  /// Finishes a count-only level: dedups the summarized children, accounts
+  /// for them, and folds them as terminals. Returns true iff the run
+  /// aborted before the fold. Merge phase only.
+  bool foldSummarizedLevel(const std::vector<AbstractDataset> &Frontier,
+                           const SummarizedLevel &Level);
 
   const SplitContext &Ctx;
   const float *X;
@@ -108,6 +142,11 @@ private:
   ResourceMeter Meter;
   AbstractLearnerResult Result;
 
+  /// Sum of `stateBytes()` over every terminal added so far: the terminal
+  /// share of the live-state accounting, kept whether or not the terminals
+  /// themselves are.
+  uint64_t TerminalBytes = 0;
+
   /// The run's frontier fan-out pool. Set once in run() before any
   /// transfer step executes, then only read.
   ThreadPool *Pool = nullptr;
@@ -115,8 +154,22 @@ private:
 
 } // namespace
 
+/// Deduplicates structurally identical disjuncts, leaving them in
+/// lexicographic (budget, rows) order; tied predicates often induce the
+/// same restriction.
+static void sortUniqueDisjuncts(std::vector<AbstractDataset> &Disjuncts) {
+  std::sort(Disjuncts.begin(), Disjuncts.end(),
+            [](const AbstractDataset &A, const AbstractDataset &B) {
+              if (A.budget() != B.budget())
+                return A.budget() < B.budget();
+              return A.rows() < B.rows();
+            });
+  Disjuncts.erase(std::unique(Disjuncts.begin(), Disjuncts.end()),
+                  Disjuncts.end());
+}
+
 LearnerRun::DisjunctStep
-LearnerRun::transferStep(const AbstractDataset &Cur) const {
+LearnerRun::transferStep(const AbstractDataset &Cur, bool CountOnly) const {
   DisjunctStep Out;
   if (!Model.collectPureTerminals(Cur, Config.Domain, Out.Terminals,
                                   Out.ForcedTerminals))
@@ -146,6 +199,11 @@ LearnerRun::transferStep(const AbstractDataset &Cur) const {
     return Out;
   }
   // Disjunctive filter#: one disjunct per (predicate, feasible side of x).
+  if (CountOnly) {
+    summarizeRestrictions(Ctx, Cur, *Psi, X, Out.Summaries);
+    Out.Psi = std::move(*Psi);
+    return Out;
+  }
   for (const SplitPredicate &Pred : Psi->predicates()) {
     if (Meter.interrupted())
       return Out;
@@ -181,7 +239,20 @@ AbstractLearnerResult LearnerRun::run(const AbstractDataset &Initial) {
 
   bool Aborted = false;
   for (unsigned Iter = 0; Iter < Config.Depth && !Frontier.empty(); ++Iter) {
+    // The Disjuncts domain's last children are terminals that only
+    // cprob# and the domination check read: summarize them rather than
+    // build them, unless the caller collects the terminals themselves.
+    // (Box has one child, and the capped domain's overflow join needs
+    // rows.)
+    const bool CountOnly = Iter + 1 == Config.Depth &&
+                           Config.Domain == AbstractDomainKind::Disjuncts &&
+                           !Config.CollectTerminals;
     std::vector<AbstractDataset> Next;
+    SummarizedLevel Level;
+    if (CountOnly) {
+      Level.Children.NumClasses = Ctx.base().numClasses();
+      Level.Psi.resize(Frontier.size());
+    }
     uint64_t FrontierBytes = 0;
     {
       // Transfer phase: the workers compute per-disjunct steps out of
@@ -197,15 +268,17 @@ AbstractLearnerResult LearnerRun::run(const AbstractDataset &Initial) {
       std::vector<DisjunctStep> Steps(Frontier.size());
       size_t Executors = Pool ? Pool->size() + 1 : 1;
       size_t WindowChunks = 4 * Executors;
-      OrderedFanout Fanout(Pool, Frontier.size(), /*ChunkSize=*/0,
-                           [this, &Steps, &Frontier](size_t I) {
-                             Steps[I] = transferStep(Frontier[I]);
-                           },
-                           WindowChunks);
+      OrderedFanout Fanout(
+          Pool, Frontier.size(), /*ChunkSize=*/0,
+          [this, &Steps, &Frontier, CountOnly](size_t I) {
+            Steps[I] = transferStep(Frontier[I], CountOnly);
+          },
+          WindowChunks);
 
       // Merge phase: single writer of the tracker and every counter.
       for (size_t I = 0, E = Frontier.size(); I < E; ++I) {
-        if ((Aborted = shouldAbort(Frontier.size() + Next.size(),
+        if ((Aborted = shouldAbort(Frontier.size() + Next.size() +
+                                       Level.size(),
                                    FrontierBytes))) {
           // Refuted or over budget: the disjuncts past I will never be
           // merged, so tell the workers to stop paying for them.
@@ -223,6 +296,11 @@ AbstractLearnerResult LearnerRun::run(const AbstractDataset &Initial) {
           FrontierBytes += Child.stateBytes();
           Next.push_back(std::move(Child));
         }
+        if (CountOnly) {
+          for (size_t C = 0; C < Step.Summaries.size(); ++C)
+            FrontierBytes += Step.Summaries.stateBytes(C);
+          Level.append(static_cast<uint32_t>(I), Step);
+        }
         // Release the merged step's buffers now rather than at the end
         // of the iteration: with huge frontiers, Count moved-from shells
         // would otherwise accumulate alongside the live Next.
@@ -233,17 +311,14 @@ AbstractLearnerResult LearnerRun::run(const AbstractDataset &Initial) {
     }
     if (Aborted)
       break;
+    if (CountOnly) {
+      Aborted = foldSummarizedLevel(Frontier, Level);
+      Frontier.clear();
+      break;
+    }
 
     if (Config.Domain != AbstractDomainKind::Box) {
-      // Deduplicate structurally identical disjuncts; tied predicates often
-      // induce the same restriction.
-      std::sort(Next.begin(), Next.end(),
-                [](const AbstractDataset &A, const AbstractDataset &B) {
-                  if (A.budget() != B.budget())
-                    return A.budget() < B.budget();
-                  return A.rows() < B.rows();
-                });
-      Next.erase(std::unique(Next.begin(), Next.end()), Next.end());
+      sortUniqueDisjuncts(Next);
 
       if (Config.Domain == AbstractDomainKind::DisjunctsCapped &&
           Config.DisjunctCap > 0) {
@@ -264,10 +339,8 @@ AbstractLearnerResult LearnerRun::run(const AbstractDataset &Initial) {
       }
     }
 
-    uint64_t LiveBytes = 0;
+    uint64_t LiveBytes = TerminalBytes;
     for (const AbstractDataset &D : Next)
-      LiveBytes += D.stateBytes();
-    for (const AbstractDataset &D : Result.Terminals)
       LiveBytes += D.stateBytes();
     Result.PeakDisjuncts = std::max(Result.PeakDisjuncts, Next.size());
     Result.PeakStateBytes = std::max(Result.PeakStateBytes, LiveBytes);
@@ -290,6 +363,91 @@ AbstractLearnerResult LearnerRun::run(const AbstractDataset &Initial) {
     Result.DominatingClass = Tracker.dominatingClass();
   Result.Seconds = Elapsed.seconds();
   return Result;
+}
+
+bool LearnerRun::foldSummarizedLevel(
+    const std::vector<AbstractDataset> &Frontier,
+    const SummarizedLevel &Level) {
+  // Deduplicate on everything cprob# reads — budget, size, class counts —
+  // plus the 128-bit row-set hash standing in for the rows. Two children
+  // merged by a hash collision have equal cprob#, so a collision can change
+  // a counter but never a verdict.
+  const RestrictionSummaries &Children = Level.Children;
+  const unsigned NumClasses = Children.NumClasses;
+  struct Key {
+    uint32_t Budget;
+    uint32_t Size;
+    RowSetHash Hash;
+    uint32_t Index;
+  };
+  std::vector<Key> Keys;
+  Keys.reserve(Children.size());
+  for (size_t I = 0; I < Children.size(); ++I) {
+    const RestrictionSummary &S = Children.Items[I];
+    Keys.push_back({S.Budget, S.Size, S.Hash, static_cast<uint32_t>(I)});
+  }
+  auto Fields = [](const Key &K) {
+    return std::tie(K.Budget, K.Size, K.Hash.H1, K.Hash.H2);
+  };
+  auto Counts = [&Children](const Key &K) { return Children.counts(K.Index); };
+  std::sort(Keys.begin(), Keys.end(), [&](const Key &A, const Key &B) {
+    if (Fields(A) != Fields(B))
+      return Fields(A) < Fields(B);
+    return std::lexicographical_compare(Counts(A), Counts(A) + NumClasses,
+                                        Counts(B), Counts(B) + NumClasses);
+  });
+  Keys.erase(std::unique(Keys.begin(), Keys.end(),
+                         [&](const Key &A, const Key &B) {
+                           return Fields(A) == Fields(B) &&
+                                  std::equal(Counts(A),
+                                             Counts(A) + NumClasses,
+                                             Counts(B));
+                         }),
+             Keys.end());
+
+  uint64_t LiveBytes = TerminalBytes;
+  for (const Key &K : Keys)
+    LiveBytes += Children.stateBytes(K.Index);
+  Result.PeakDisjuncts = std::max(Result.PeakDisjuncts, Keys.size());
+  Result.PeakStateBytes = std::max(Result.PeakStateBytes, LiveBytes);
+  if (shouldAbort(Keys.size(), LiveBytes))
+    return true;
+
+  // Without a refutation the fold's outcome does not depend on its order,
+  // so fold into a copy of the tracker and commit it.
+  DominationTracker Folded = Tracker;
+  std::vector<uint32_t> ChildCounts(NumClasses);
+  for (const Key &K : Keys) {
+    ChildCounts.assign(Counts(K), Counts(K) + NumClasses);
+    Folded.addTerminal(Model.classProbabilities(ChildCounts, K.Size,
+                                                K.Budget, Config.Cprob));
+    if (Config.StopOnRefutation && Folded.failed())
+      break;
+  }
+  if (!Config.StopOnRefutation || !Folded.failed()) {
+    Tracker = Folded;
+    Result.NumTerminals += Keys.size();
+    return false;
+  }
+
+  // A refutation stops the fold at the first failing terminal in the
+  // materialized order, which sorts by rows: rebuild the children to find
+  // it, so NumTerminals comes out as the materialized fold's.
+  std::vector<AbstractDataset> Built;
+  Built.reserve(Keys.size());
+  for (const Key &K : Keys) {
+    const RestrictionSummary &S = Children.Items[K.Index];
+    uint32_t Parent = Level.Parents[K.Index];
+    Built.push_back(Frontier[Parent].restrict(
+        Level.Psi[Parent].predicates()[S.Pred], S.Positive));
+  }
+  sortUniqueDisjuncts(Built);
+  for (AbstractDataset &D : Built) {
+    addTerminal(std::move(D));
+    if (Tracker.failed())
+      break;
+  }
+  return false;
 }
 
 AbstractLearnerResult

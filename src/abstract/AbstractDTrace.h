@@ -26,6 +26,20 @@
 /// streamed into a `DominationTracker` so verification can stop the moment
 /// Corollary 4.12 becomes unsatisfiable.
 ///
+/// The depth-exhaustion terminals are the last depth's `filter#` children,
+/// by far the most numerous disjuncts of a hard query, and `cprob#` reads
+/// only their size, budget and class counts. So at the last depth the
+/// Disjuncts domain summarizes them (`summarizeRestrictions`,
+/// abstract/AbstractFilter.h) instead of building them: it dedups the
+/// summaries on those fields plus a 128-bit row-set hash, charges each
+/// distinct child the bytes its built form would take, and folds them.
+/// Only when that fold refutes under `StopOnRefutation` are the children
+/// rebuilt, because where the fold stops, and so `NumTerminals`, follows
+/// the built children's row order. Certificates and every counter are
+/// the same as with the children built (`CollectTerminals`); a hash
+/// collision could merge two children with equal `cprob#` and change a
+/// counter, never a verdict.
+///
 /// The engine is generic over the poisoning **threat model**
 /// (abstract/ThreatModel.h): every model-specific transformer — `cprob#`,
 /// the pure-leaf conditional, the `bestSplit#` candidate/overlap rule —
@@ -104,6 +118,12 @@ struct AbstractLearnerConfig {
   /// verification; disable to obtain the complete terminal set in tests).
   bool StopOnRefutation = true;
 
+  /// Keep every terminal abstract state in `Result.Terminals`. Off, the
+  /// run keeps none, and the Disjuncts domain folds its last depth's
+  /// children from summaries without building them; on, it builds them.
+  /// Every other result field is identical either way. For tests.
+  bool CollectTerminals = false;
+
   /// Executors for the per-frontier disjunct fan-out: 1 (default) keeps
   /// the whole run on the calling thread, 0 means one executor per
   /// hardware thread. Results are bit-identical for every value; this is
@@ -135,14 +155,18 @@ enum class LearnerStatus : uint8_t {
 struct AbstractLearnerResult {
   LearnerStatus Status = LearnerStatus::Completed;
 
-  /// Terminal abstract training sets. Possibly truncated when the run
-  /// stopped early (refutation, timeout, or resource limit).
+  /// Terminal abstract training sets, kept only when
+  /// `Config.CollectTerminals` is set (otherwise empty). Possibly
+  /// truncated when the run stopped early (refutation, timeout, or
+  /// resource limit).
   std::vector<AbstractDataset> Terminals;
 
-  /// Total terminals folded into the domination check: `Terminals.size()`
-  /// plus the forced probability-vector terminals some threat models emit
-  /// (a flip attacker forcing a pure leaf) that have no abstract-state
-  /// representation. Equals `Terminals.size()` under Removal.
+  /// Total terminals folded into the domination check: the abstract-state
+  /// terminals plus the forced probability-vector terminals some threat
+  /// models emit (a flip attacker forcing a pure leaf) that have no
+  /// abstract-state representation. With `CollectTerminals` set, that is
+  /// `Terminals.size()` plus the forced ones, and equals
+  /// `Terminals.size()` under Removal.
   size_t NumTerminals = 0;
 
   /// The Corollary 4.12 dominating class over all terminals, when it
@@ -154,6 +178,11 @@ struct AbstractLearnerResult {
   bool Refuted = false;
 
   size_t PeakDisjuncts = 0;
+
+  /// Peak live abstract-state bytes of the paper's memory model: what the
+  /// frontier and the terminals would take with every disjunct built
+  /// (§6's memory metric), including the last depth's children that the
+  /// Disjuncts domain only summarizes. Not the process footprint.
   uint64_t PeakStateBytes = 0;
   unsigned BestSplitCalls = 0;
   double Seconds = 0.0;

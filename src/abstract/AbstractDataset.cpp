@@ -113,10 +113,8 @@ AbstractDataset AbstractDataset::restrict(const SplitPredicate &Pred,
     }
   }
   RowIndexList Possible(Scratch.begin(), Scratch.begin() + N);
-  uint32_t PossibleSize = static_cast<uint32_t>(N);
   uint32_t NewBudget =
-      std::max(std::min(Budget, PossibleSize),
-               (PossibleSize - Definite) + std::min(Budget, Definite));
+      restrictedBudget(Budget, static_cast<uint32_t>(N), Definite);
   return AbstractDataset(*Base, std::move(Possible), NewBudget);
 }
 

@@ -34,6 +34,7 @@
 #include "data/Dataset.h"
 #include "support/Interval.h"
 
+#include <algorithm>
 #include <optional>
 
 namespace antidote {
@@ -107,6 +108,15 @@ public:
   /// budget additionally absorbs the rows that are only possibly there.
   AbstractDataset restrict(const SplitPredicate &Pred, bool Positive) const;
 
+  /// The budget `restrict` charges a child of \p Possible rows, \p Definite
+  /// of them definitely on the requested side, before the constructor's
+  /// clamp to the child's size.
+  static uint32_t restrictedBudget(uint32_t Budget, uint32_t Possible,
+                                   uint32_t Definite) {
+    return std::max(std::min(Budget, Possible),
+                    (Possible - Definite) + std::min(Budget, Definite));
+  }
+
   /// `pure(⟨T,n⟩, i)` (§4.7): restricts to concretizations containing only
   /// class-\p Class rows; std::nullopt is ⊥ (more than n rows of other
   /// classes would have to be dropped).
@@ -117,6 +127,15 @@ public:
   uint64_t stateBytes() const {
     return Rows.capacity() * sizeof(uint32_t) +
            Counts.capacity() * sizeof(uint32_t) + sizeof(*this);
+  }
+
+  /// `stateBytes()` of an element of \p Size rows whose vectors are at
+  /// exact capacity, as every `restrict` child's are. Lets the last
+  /// frontier level charge a child it only summarized (abstract/
+  /// AbstractFilter.h) exactly what the built child would have cost.
+  static uint64_t exactStateBytes(uint32_t Size, unsigned NumClasses) {
+    return (static_cast<uint64_t>(Size) + NumClasses) * sizeof(uint32_t) +
+           sizeof(AbstractDataset);
   }
 
   /// Renders "<|T|=…, n=…>" for diagnostics.

@@ -44,9 +44,10 @@ public:
   bool supportsDomain(AbstractDomainKind) const override { return true; }
 
   std::vector<Interval>
-  classProbabilities(const AbstractDataset &State,
+  classProbabilities(const std::vector<uint32_t> &Counts, uint32_t Total,
+                     uint32_t Budget,
                      CprobTransformerKind Kind) const override {
-    return abstractClassProbabilities(State, Kind);
+    return abstractClassProbabilities(Counts, Total, Budget, Kind);
   }
 
   Interval sizeInterval(const AbstractDataset &State) const override {
@@ -116,10 +117,9 @@ public:
   }
 
   std::vector<Interval>
-  classProbabilities(const AbstractDataset &State,
-                     CprobTransformerKind) const override {
-    return flipClassProbabilities(State.counts(), State.size(),
-                                  State.budget());
+  classProbabilities(const std::vector<uint32_t> &Counts, uint32_t Total,
+                     uint32_t Budget, CprobTransformerKind) const override {
+    return flipClassProbabilities(Counts, Total, Budget);
   }
 
   Interval sizeInterval(const AbstractDataset &State) const override {

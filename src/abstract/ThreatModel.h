@@ -86,12 +86,22 @@ public:
   /// domain joins too).
   virtual bool supportsDomain(AbstractDomainKind Domain) const = 0;
 
-  /// `cprob#` of a terminal abstract state under this model's reading of
-  /// ⟨T, n⟩. Removal dispatches on \p Kind (Optimal / NaiveInterval);
-  /// flips use the count-interval transformer, which is already optimal.
+  /// `cprob#` of a terminal ⟨T, n⟩ with class counts \p Counts (summing
+  /// to \p Total = |T|) and budget \p Budget = n, under this model's
+  /// reading of ⟨T, n⟩. It reads nothing else of the state, which is what
+  /// lets the last frontier level fold children it never built. Removal
+  /// dispatches on \p Kind (Optimal / NaiveInterval); flips use the
+  /// count-interval transformer, which is already optimal.
   virtual std::vector<Interval>
-  classProbabilities(const AbstractDataset &State,
-                     CprobTransformerKind Kind) const = 0;
+  classProbabilities(const std::vector<uint32_t> &Counts, uint32_t Total,
+                     uint32_t Budget, CprobTransformerKind Kind) const = 0;
+
+  /// `cprob#` of the terminal abstract state \p State.
+  std::vector<Interval> classProbabilities(const AbstractDataset &State,
+                                           CprobTransformerKind Kind) const {
+    return classProbabilities(State.counts(), State.size(), State.budget(),
+                              Kind);
+  }
 
   /// `|⟨T,n⟩|` under this model: [|T| − n, |T|] for removal (§4.6),
   /// the exact point |T| for flips (relabeling never changes the size).

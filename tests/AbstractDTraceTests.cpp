@@ -26,6 +26,15 @@ AbstractLearnerConfig baseConfig(AbstractDomainKind Domain, unsigned Depth) {
   return Config;
 }
 
+// For the tests that read Result.Terminals, which only a collecting run
+// fills in.
+AbstractLearnerConfig collectingConfig(AbstractDomainKind Domain,
+                                       unsigned Depth) {
+  AbstractLearnerConfig Config = baseConfig(Domain, Depth);
+  Config.CollectTerminals = true;
+  return Config;
+}
+
 } // namespace
 
 TEST(AbstractDTraceTest, Figure2DepthOneDisjunctsProveWhite) {
@@ -37,7 +46,7 @@ TEST(AbstractDTraceTest, Figure2DepthOneDisjunctsProveWhite) {
   float X = 5.0f;
   AbstractDataset Initial = AbstractDataset::entire(Data, 1);
   AbstractLearnerResult Result = runAbstractDTrace(
-      Ctx, Initial, &X, baseConfig(AbstractDomainKind::Disjuncts, 1));
+      Ctx, Initial, &X, collectingConfig(AbstractDomainKind::Disjuncts, 1));
   EXPECT_EQ(Result.Status, LearnerStatus::Completed);
   EXPECT_FALSE(Result.Refuted);
   ASSERT_TRUE(Result.DominatingClass.has_value());
@@ -55,7 +64,7 @@ TEST(AbstractDTraceTest, Figure2BoxJoinLosesWhatDisjunctsProve) {
   float X = 5.0f;
   AbstractDataset Initial = AbstractDataset::entire(Data, 1);
   AbstractLearnerResult Result = runAbstractDTrace(
-      Ctx, Initial, &X, baseConfig(AbstractDomainKind::Box, 1));
+      Ctx, Initial, &X, collectingConfig(AbstractDomainKind::Box, 1));
   EXPECT_EQ(Result.Status, LearnerStatus::Completed);
   EXPECT_EQ(Result.Terminals.size(), 1u); // Box keeps a single state.
   EXPECT_FALSE(Result.DominatingClass.has_value());
@@ -71,7 +80,7 @@ TEST(AbstractDTraceTest, Figure2OverviewProbabilityInterval) {
   float X = 5.0f;
   AbstractDataset Initial = AbstractDataset::entire(Data, 2);
   AbstractLearnerResult Result = runAbstractDTrace(
-      Ctx, Initial, &X, baseConfig(AbstractDomainKind::Disjuncts, 1));
+      Ctx, Initial, &X, collectingConfig(AbstractDomainKind::Disjuncts, 1));
   RowIndexList LeftRows = {0, 1, 2, 3, 4, 5, 6, 7, 8};
   bool FoundLeftBranch = false;
   for (const AbstractDataset &Terminal : Result.Terminals) {
@@ -184,6 +193,7 @@ TEST(AbstractDTraceTest, InterruptedBestSplitIsNeverConsumedByTheLearner) {
     Config.DisjunctCap = 8;
     Config.Limits.TimeoutSeconds = 0.0;
     Config.Cancel = &Token;
+    Config.CollectTerminals = true;
     AbstractLearnerResult Result = runAbstractDTrace(
         Ctx, AbstractDataset::entire(Data, 4), &X, Config);
     std::string Label = domainKindName(Domain);
@@ -239,7 +249,7 @@ TEST_P(DTraceSoundnessTest, TerminalsCoverEveryConcreteRun) {
 
     AbstractLearnerResult Abstract = runAbstractDTrace(
         Ctx, AbstractDataset(Data, Rows, Budget), X.data(),
-        baseConfig(GetParam().Domain, Depth));
+        collectingConfig(GetParam().Domain, Depth));
     ASSERT_EQ(Abstract.Status, LearnerStatus::Completed);
 
     forEachPerturbedSubset(Rows, Budget, [&](const RowIndexList &Subset) {

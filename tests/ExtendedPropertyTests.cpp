@@ -153,10 +153,18 @@ TEST_P(ConfigSoundnessTest, TerminalsCoverConcreteRunsAndOracleAgrees) {
         Ctx, AbstractDataset(Data, Rows, Budget), X.data(), Config);
     ASSERT_EQ(Abstract.Status, LearnerStatus::Completed);
 
+    // Only a collecting run fills in Terminals; the verdict below is the
+    // default run's.
+    AbstractLearnerConfig Collecting = Config;
+    Collecting.CollectTerminals = true;
+    AbstractLearnerResult Collected = runAbstractDTrace(
+        Ctx, AbstractDataset(Data, Rows, Budget), X.data(), Collecting);
+    ASSERT_EQ(Collected.Status, LearnerStatus::Completed);
+
     forEachPerturbedSubset(Rows, Budget, [&](const RowIndexList &Subset) {
       TraceResult Concrete = runDTrace(Ctx, Subset, X.data(), Depth);
       bool Covered = false;
-      for (const AbstractDataset &Terminal : Abstract.Terminals)
+      for (const AbstractDataset &Terminal : Collected.Terminals)
         if (Terminal.concretizationContains(Concrete.FinalRows)) {
           Covered = true;
           break;

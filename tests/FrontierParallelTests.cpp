@@ -43,6 +43,7 @@ AbstractLearnerConfig learnerConfig(AbstractDomainKind Domain,
   Config.DisjunctCap = 8; // Small enough that capped runs overflow-join.
   Config.FrontierJobs = FrontierJobs;
   Config.Limits.TimeoutSeconds = 0.0;
+  Config.CollectTerminals = true; // expectIdenticalRuns compares terminals.
   return Config;
 }
 
