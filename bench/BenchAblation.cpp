@@ -13,7 +13,9 @@
 //       strategy trading precision for bounded memory.
 //
 // Each panel reports verified counts (and cost) on the mammography-like
-// benchmark so the effect of every choice is directly visible.
+// benchmark so the effect of every choice is directly visible. Each
+// configuration's queries run as one `Verifier::verifyBatch` on
+// ANTIDOTE_JOBS workers (default 1).
 //
 //===----------------------------------------------------------------------===//
 
@@ -38,12 +40,16 @@ struct BatchOutcome {
   double PeakDisjuncts = 0.0;
 };
 
+/// Verifies every row of \p Rows as one `verifyBatch` on \p Pool.
 BatchOutcome runBatch(const Verifier &V, const Dataset &Test,
                       const std::vector<uint32_t> &Rows, uint32_t Budget,
-                      const VerifierConfig &Config) {
+                      const VerifierConfig &Config, ThreadPool *Pool) {
+  std::vector<const float *> Inputs;
+  Inputs.reserve(Rows.size());
+  for (uint32_t Row : Rows)
+    Inputs.push_back(Test.row(Row));
   BatchOutcome Outcome;
-  for (uint32_t Row : Rows) {
-    Certificate Cert = V.verify(Test.row(Row), Budget, Config);
+  for (const Certificate &Cert : V.verifyBatch(Inputs, Budget, Config, Pool)) {
     ++Outcome.Attempted;
     Outcome.Verified += Cert.isRobust();
     Outcome.Seconds += Cert.Seconds;
@@ -60,6 +66,8 @@ int main() {
   const Dataset &Train = Bench.Split.Train;
   const Dataset &Test = Bench.Split.Test;
   Verifier V(Train);
+  std::unique_ptr<ThreadPool> Pool =
+      makeVerificationPool(benchutil::benchJobsFromEnv());
   std::printf("=== Ablations (mammography-like, %u train rows, %zu "
               "queries) ===\n\n",
               Train.numRows(), Bench.VerifyRows.size());
@@ -77,8 +85,10 @@ int main() {
       Optimal.Limits.TimeoutSeconds = 2.0;
       VerifierConfig Naive = Optimal;
       Naive.Cprob = CprobTransformerKind::NaiveInterval;
-      BatchOutcome A = runBatch(V, Test, Bench.VerifyRows, N, Optimal);
-      BatchOutcome B = runBatch(V, Test, Bench.VerifyRows, N, Naive);
+      BatchOutcome A =
+          runBatch(V, Test, Bench.VerifyRows, N, Optimal, Pool.get());
+      BatchOutcome B =
+          runBatch(V, Test, Bench.VerifyRows, N, Naive, Pool.get());
       Table.addRow({std::to_string(N), std::to_string(A.Verified),
                     std::to_string(B.Verified),
                     formatSeconds(A.Seconds / A.Attempted),
@@ -103,8 +113,10 @@ int main() {
       Exact.Limits.TimeoutSeconds = 2.0;
       VerifierConfig Natural = Exact;
       Natural.Gini = GiniLiftingKind::NaturalLifting;
-      BatchOutcome A = runBatch(V, Test, Bench.VerifyRows, N, Exact);
-      BatchOutcome B = runBatch(V, Test, Bench.VerifyRows, N, Natural);
+      BatchOutcome A =
+          runBatch(V, Test, Bench.VerifyRows, N, Exact, Pool.get());
+      BatchOutcome B =
+          runBatch(V, Test, Bench.VerifyRows, N, Natural, Pool.get());
       // Root bestSplit# sizes: how many tied predicates each lifting keeps.
       AbstractDataset Root = AbstractDataset::entire(Train, N);
       size_t ExactPsi =
@@ -141,7 +153,8 @@ int main() {
         Config.Domain = AbstractDomainKind::DisjunctsCapped;
         Config.DisjunctCap = Cap;
       }
-      BatchOutcome Outcome = runBatch(V, Test, Bench.VerifyRows, 4, Config);
+      BatchOutcome Outcome =
+          runBatch(V, Test, Bench.VerifyRows, 4, Config, Pool.get());
       Table.addRow({Cap == 0 ? "unbounded" : std::to_string(Cap),
                     std::to_string(Outcome.Verified),
                     formatSeconds(Outcome.Seconds / Outcome.Attempted),

@@ -45,6 +45,17 @@ const Verifier &mammoVerifier() {
   return V;
 }
 
+const BenchmarkDataset &wdbc() {
+  static BenchmarkDataset Bench =
+      loadBenchmarkDataset("wdbc", BenchScale::Scaled);
+  return Bench;
+}
+
+const Verifier &wdbcVerifier() {
+  static Verifier V(wdbc().Split.Train);
+  return V;
+}
+
 } // namespace
 
 static void BM_IntervalArithmetic(benchmark::State &State) {
@@ -280,6 +291,27 @@ BENCHMARK(BM_VerifyQuery)
     ->Args({1, 2})
     ->Args({0, 16})
     ->Args({1, 16});
+
+// One serial `verifyBatch` over wdbc's verify rows, the shape of one
+// sweep probe: the queries share a bestSplit# memo, so the root and the
+// depth-1 states they have in common are scored once per batch. Caps, not
+// the clock, decide every verdict.
+static void BM_VerifyBatch(benchmark::State &State) {
+  VerifierConfig Config;
+  Config.Depth = 2;
+  Config.Domain = AbstractDomainKind::Disjuncts;
+  Config.Limits.TimeoutSeconds = 0.0;
+  Config.Limits.MaxDisjuncts = 1u << 12;
+  std::vector<const float *> Inputs;
+  for (uint32_t Row : wdbc().VerifyRows)
+    Inputs.push_back(wdbc().Split.Test.row(Row));
+  for (auto _ : State) {
+    std::vector<Certificate> Certs =
+        wdbcVerifier().verifyBatch(Inputs, /*PoisoningBudget=*/4, Config);
+    benchmark::DoNotOptimize(Certs.data());
+  }
+}
+BENCHMARK(BM_VerifyBatch)->Unit(benchmark::kMillisecond);
 
 // The label-flip threat model through the same unified frontier engine as
 // removal (abstract/ThreatModel.h): the cost profile differs — flip keeps

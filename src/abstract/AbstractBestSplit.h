@@ -31,6 +31,10 @@
 /// shards fold in strict feature-index order, which replays the emission
 /// order of one flat scan.
 ///
+/// `BestSplitMemo` shares the transformer's results between the queries of
+/// one verification batch, which mostly reach the same few states near the
+/// root.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ANTIDOTE_ABSTRACT_ABSTRACTBESTSPLIT_H
@@ -39,10 +43,13 @@
 #include "abstract/AbstractDataset.h"
 #include "abstract/AbstractGini.h"
 #include "abstract/PredicateSet.h"
+#include "abstract/ThreatModel.h"
 #include "concrete/BestSplit.h"
 #include "support/Budget.h"
 
+#include <mutex>
 #include <optional>
+#include <unordered_map>
 
 namespace antidote {
 
@@ -60,6 +67,49 @@ abstractBestSplit(const SplitContext &Ctx, const AbstractDataset &Data,
                   CprobTransformerKind Kind,
                   GiniLiftingKind Lifting = GiniLiftingKind::ExactTerm,
                   const ResourceMeter *Meter = nullptr);
+
+/// A thread-safe memo of `bestSplit#` results over one `SplitContext`.
+/// An entry is keyed by the threat model, the `cprob#` transformer, the
+/// `ent#` lifting, and the state's budget and exact row set: lookups hash
+/// the rows (`rowSetHash`) but then compare them, so a hash collision can
+/// never hand one state another state's Ψ. The first insert of a key wins.
+/// Only complete results belong here; an interrupted `bestSplit#`
+/// (std::nullopt) is never stored.
+class BestSplitMemo {
+public:
+  /// The Ψ stored for `bestSplit#(State)` under (\p Threat, \p Cprob,
+  /// \p Gini), if any.
+  std::optional<PredicateSet> find(ThreatModelKind Threat,
+                                   CprobTransformerKind Cprob,
+                                   GiniLiftingKind Gini,
+                                   const AbstractDataset &State) const;
+
+  /// Stores \p Psi as `bestSplit#(State)` under (\p Threat, \p Cprob,
+  /// \p Gini) unless that key already has an entry.
+  void insert(ThreatModelKind Threat, CprobTransformerKind Cprob,
+              GiniLiftingKind Gini, const AbstractDataset &State,
+              const PredicateSet &Psi);
+
+  size_t size() const;
+
+private:
+  struct Entry {
+    ThreatModelKind Threat;
+    CprobTransformerKind Cprob;
+    GiniLiftingKind Gini;
+    uint32_t Budget;
+    RowIndexList Rows;
+    PredicateSet Psi;
+  };
+
+  /// The entry for the key, or null; \p Hash is the key's hash.
+  const Entry *lookup(uint64_t Hash, ThreatModelKind Threat,
+                      CprobTransformerKind Cprob, GiniLiftingKind Gini,
+                      const AbstractDataset &State) const;
+
+  mutable std::mutex Mutex;
+  std::unordered_multimap<uint64_t, Entry> Entries;
+};
 
 } // namespace antidote
 

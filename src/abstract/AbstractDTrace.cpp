@@ -124,9 +124,11 @@ private:
 
   /// The pure per-disjunct transfer step: the entropy conditional, then
   /// bestSplit# / the ⋄ conditional / filter#, whose disjunctive children
-  /// are summarized instead of built when \p CountOnly. Const — safe to
-  /// run on any worker concurrently with other disjuncts' steps.
-  DisjunctStep transferStep(const AbstractDataset &Cur, bool CountOnly) const;
+  /// are summarized instead of built when \p CountOnly. bestSplit# goes
+  /// through \p Memo when one is given. Const — safe to run on any worker
+  /// concurrently with other disjuncts' steps.
+  DisjunctStep transferStep(const AbstractDataset &Cur, bool CountOnly,
+                            BestSplitMemo *Memo) const;
 
   /// Finishes a count-only level: dedups the summarized children, accounts
   /// for them, and folds them as terminals. Returns true iff the run
@@ -169,7 +171,8 @@ static void sortUniqueDisjuncts(std::vector<AbstractDataset> &Disjuncts) {
 }
 
 LearnerRun::DisjunctStep
-LearnerRun::transferStep(const AbstractDataset &Cur, bool CountOnly) const {
+LearnerRun::transferStep(const AbstractDataset &Cur, bool CountOnly,
+                         BestSplitMemo *Memo) const {
   DisjunctStep Out;
   if (!Model.collectPureTerminals(Cur, Config.Domain, Out.Terminals,
                                   Out.ForcedTerminals))
@@ -180,9 +183,16 @@ LearnerRun::transferStep(const AbstractDataset &Cur, bool CountOnly) const {
   // fan-out below leaves a truncated child list; both are sound because
   // the persistent meter trips the merge phase's very next shouldAbort()
   // poll — before the budget outcome could be masked — so a truncated
-  // state never reaches a Completed verdict.
-  std::optional<PredicateSet> Psi = Model.bestSplit(
-      Ctx, Cur, Config.Cprob, Config.Gini, &Meter);
+  // state never reaches a Completed verdict. So only a complete Ψ is
+  // memoized.
+  std::optional<PredicateSet> Psi;
+  if (Memo)
+    Psi = Memo->find(Config.Threat, Config.Cprob, Config.Gini, Cur);
+  if (!Psi) {
+    Psi = Model.bestSplit(Ctx, Cur, Config.Cprob, Config.Gini, &Meter);
+    if (Memo && Psi)
+      Memo->insert(Config.Threat, Config.Cprob, Config.Gini, Cur, *Psi);
+  }
   Out.CalledBestSplit = true;
   if (!Psi)
     return Out;
@@ -247,6 +257,9 @@ AbstractLearnerResult LearnerRun::run(const AbstractDataset &Initial) {
     const bool CountOnly = Iter + 1 == Config.Depth &&
                            Config.Domain == AbstractDomainKind::Disjuncts &&
                            !Config.CollectTerminals;
+    // The root and its children recur across a batch's queries; deeper
+    // states rarely do.
+    BestSplitMemo *Memo = Iter <= 1 ? Config.Memo : nullptr;
     std::vector<AbstractDataset> Next;
     SummarizedLevel Level;
     if (CountOnly) {
@@ -270,8 +283,8 @@ AbstractLearnerResult LearnerRun::run(const AbstractDataset &Initial) {
       size_t WindowChunks = 4 * Executors;
       OrderedFanout Fanout(
           Pool, Frontier.size(), /*ChunkSize=*/0,
-          [this, &Steps, &Frontier, CountOnly](size_t I) {
-            Steps[I] = transferStep(Frontier[I], CountOnly);
+          [this, &Steps, &Frontier, CountOnly, Memo](size_t I) {
+            Steps[I] = transferStep(Frontier[I], CountOnly, Memo);
           },
           WindowChunks);
 

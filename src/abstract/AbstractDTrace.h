@@ -59,6 +59,11 @@
 /// `BestSplitCalls`) is bit-identical for every `FrontierJobs` value in
 /// all three domains; only wall-clock time changes.
 ///
+/// Runs of one verification batch may share a `BestSplitMemo`
+/// (`Config.Memo`): the first run to reach the root or a depth-1 state
+/// scores it, and the others take a copy of its Ψ. A memo hit still counts
+/// as a `bestSplit#` application, so results are the same either way.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ANTIDOTE_ABSTRACT_ABSTRACTDTRACE_H
@@ -141,6 +146,15 @@ struct AbstractLearnerConfig {
   /// itself, so a starved fan-out degrades to serial instead of
   /// deadlocking.
   ThreadPool *FrontierPool = nullptr;
+
+  /// Optional `bestSplit#` memo shared by the runs of one verification
+  /// batch (`Verifier::verifyBatch` owns one per call; internal plumbing,
+  /// not a knob). The run consults it for the root and its children only
+  /// (the first two depth levels), which caps its entries at
+  /// 1 + 2·|Ψ_root| per batch whatever the frontier size. Every run that
+  /// shares it must use the same `SplitContext`. Results are identical
+  /// with or without it.
+  BestSplitMemo *Memo = nullptr;
 };
 
 /// Why the learner stopped.
@@ -184,6 +198,9 @@ struct AbstractLearnerResult {
   /// (§6's memory metric), including the last depth's children that the
   /// Disjuncts domain only summarizes. Not the process footprint.
   uint64_t PeakStateBytes = 0;
+
+  /// `bestSplit#` applications the run merged, whether computed or served
+  /// by `Config.Memo`.
   unsigned BestSplitCalls = 0;
   double Seconds = 0.0;
 };

@@ -66,6 +66,12 @@ bool isCacheableVerdict(VerdictKind Kind) {
 
 Certificate Verifier::verify(const float *X, uint32_t PoisoningBudget,
                              const VerifierConfig &Config) const {
+  return verifyWith(X, PoisoningBudget, Config, /*Memo=*/nullptr);
+}
+
+Certificate Verifier::verifyWith(const float *X, uint32_t PoisoningBudget,
+                                 const VerifierConfig &Config,
+                                 BestSplitMemo *Memo) const {
   if (Config.Cache) {
     Certificate Cached;
     if (Config.Cache->lookup(Fingerprint, X, Train->numFeatures(),
@@ -131,6 +137,7 @@ Certificate Verifier::verify(const float *X, uint32_t PoisoningBudget,
   LearnerConfig.Cancel = Config.Cancel;
   LearnerConfig.FrontierJobs = Config.FrontierJobs;
   LearnerConfig.FrontierPool = Config.FrontierPool;
+  LearnerConfig.Memo = Memo;
 
   AbstractDataset Initial = AbstractDataset::entire(*Train, PoisoningBudget);
   AbstractLearnerResult Run = runAbstractDTrace(Ctx, Initial, X,
@@ -177,8 +184,9 @@ Verifier::verifyBatch(const std::vector<const float *> &Inputs,
                       uint32_t PoisoningBudget, const VerifierConfig &Config,
                       ThreadPool *Pool) const {
   std::vector<Certificate> Certs(Inputs.size());
+  BestSplitMemo Memo;
   parallelFor(Pool, Inputs.size(), [&](size_t I) {
-    Certs[I] = verify(Inputs[I], PoisoningBudget, Config);
+    Certs[I] = verifyWith(Inputs[I], PoisoningBudget, Config, &Memo);
   });
   return Certs;
 }

@@ -173,17 +173,27 @@ public:
                      const VerifierConfig &Config) const;
 
   /// Verifies every input of \p Inputs under the same budget and config,
-  /// fanning the independent queries out across \p Pool (plus the calling
-  /// thread). Certificates come back indexed like Inputs, and each query's
-  /// verdict is independent of scheduling, so results are deterministic
-  /// and thread-count-independent (timings aside). A null/empty pool runs
-  /// serially.
+  /// fanning the queries out across \p Pool (plus the calling thread).
+  /// The queries share one `bestSplit#` memo for the call (see
+  /// `AbstractLearnerConfig::Memo`): all start from the same ⟨T, n⟩, so
+  /// the root and most depth-1 states are scored once per batch. A shared
+  /// Ψ is exactly the one the query would compute itself, so each
+  /// certificate equals `verify`'s for its input, whichever query scored a
+  /// state first; results are deterministic and thread-count-independent
+  /// (timings aside). Certificates come back indexed like Inputs. A
+  /// null/empty pool runs serially.
   std::vector<Certificate> verifyBatch(const std::vector<const float *> &Inputs,
                                        uint32_t PoisoningBudget,
                                        const VerifierConfig &Config,
                                        ThreadPool *Pool = nullptr) const;
 
 private:
+  /// `verify`, with the learner's `bestSplit#` going through \p Memo when
+  /// one is given.
+  Certificate verifyWith(const float *X, uint32_t PoisoningBudget,
+                         const VerifierConfig &Config,
+                         BestSplitMemo *Memo) const;
+
   const Dataset *Train;
   SplitContext Ctx;
   RowIndexList AllTrainRows;

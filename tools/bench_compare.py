@@ -47,6 +47,7 @@ DEFAULT_PATTERNS = [
     r"^BM_AbstractRestrict",
     r"^BM_AbstractGini",
     r"^BM_FlipVerify",
+    r"^BM_VerifyBatch",
 ]
 # (BM_AbstractGini was informational while it timed a single ~10 ns
 # call — code layout alone moved that past the tolerance. It now sweeps
