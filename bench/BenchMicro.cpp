@@ -12,6 +12,7 @@
 
 #include "abstract/AbstractBestSplit.h"
 #include "abstract/AbstractFilter.h"
+#include "abstract/LabelFlip.h"
 #include "antidote/Sweep.h"
 #include "antidote/Verifier.h"
 #include "data/Registry.h"
@@ -177,6 +178,18 @@ static void BM_AbstractBestSplit(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_AbstractBestSplit)->Arg(1)->Arg(8)->Arg(64);
+
+// The label-flip bestSplit#: the same Ψ-selection pass as above over
+// concrete midpoints with the flip score#, on the same root.
+static void BM_FlipBestSplit(benchmark::State &State) {
+  AbstractDataset A = AbstractDataset::entire(
+      mammo().Split.Train, static_cast<uint32_t>(State.range(0)));
+  for (auto _ : State) {
+    PredicateSet Psi = *flipBestSplit(mammoCtx(), A);
+    benchmark::DoNotOptimize(Psi.size());
+  }
+}
+BENCHMARK(BM_FlipBestSplit)->Arg(1)->Arg(8)->Arg(64);
 
 //===----------------------------------------------------------------------===//
 // SoA kernel benches: the branch-free column kernels in isolation.

@@ -79,8 +79,7 @@ antidote::benchutil::applyEnvKnobs(SweepConfig &Config) {
   std::optional<uint64_t> CacheBytes = benchCacheBytesFromEnv();
   if (!CacheBytes)
     return nullptr;
-  Config.InstanceLimits.MaxCacheBytes = *CacheBytes;
-  auto Cache = std::make_unique<CertCache>(Config.InstanceLimits);
+  auto Cache = std::make_unique<CertCache>(*CacheBytes);
   Config.Cache = Cache.get();
   return Cache;
 }

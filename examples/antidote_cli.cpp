@@ -286,6 +286,24 @@ void printReplStats(const ReplicatorStats &Stats) {
               static_cast<unsigned long long>(Stats.Errors));
 }
 
+/// The `CertServerConfig` of both serving modes (`--listen`, `--serve`):
+/// the verification flags and serving knobs over the composed \p Store.
+CertServerConfig serverConfig(const CliOptions &Options,
+                              CertificateStore *Store) {
+  const ServingOptions &Serving = Options.Serving;
+  CertServerConfig Config;
+  Config.Query.Depth = Options.Depth;
+  Config.Query.Domain = Options.Domain;
+  Config.Query.Threat = Serving.Threat;
+  Config.Query.DisjunctCap = Options.DisjunctCap;
+  Config.Query.Limits.TimeoutSeconds = Options.TimeoutSeconds;
+  Config.Query.FrontierJobs = Serving.FrontierJobs;
+  Config.Query.DeltaSlack = Serving.DeltaSlack;
+  Config.Jobs = Serving.Jobs;
+  Config.Store = Store;
+  return Config;
+}
+
 /// Parses "v1,v2,..." into floats; returns false on malformed input.
 bool parseQuery(const std::string &Text, unsigned NumFeatures,
                 std::vector<float> &Query) {
@@ -424,18 +442,7 @@ int main(int Argc, char **Argv) {
     sigaddset(&ShutdownSigs, SIGTERM);
     pthread_sigmask(SIG_BLOCK, &ShutdownSigs, nullptr);
 
-    CertServerConfig ServerConfig;
-    ServerConfig.Query.Depth = Options.Depth;
-    ServerConfig.Query.Domain = Options.Domain;
-    ServerConfig.Query.Threat = Serving.Threat;
-    ServerConfig.Query.DisjunctCap = Options.DisjunctCap;
-    ServerConfig.Query.Limits.TimeoutSeconds = Options.TimeoutSeconds;
-    ServerConfig.Query.Limits.MaxCacheBytes = Serving.CacheBytes;
-    ServerConfig.Query.FrontierJobs = Serving.FrontierJobs;
-    ServerConfig.Query.DeltaSlack = Serving.DeltaSlack;
-    ServerConfig.Jobs = Serving.Jobs;
-    ServerConfig.Store = Store;
-    CertServer Server(Train, ServerConfig);
+    CertServer Server(Train, serverConfig(Options, Store));
 
     NetServerConfig NetConfig;
     NetConfig.Port = Serving.ListenPort;
@@ -486,18 +493,7 @@ int main(int Argc, char **Argv) {
   }
 
   if (Options.Serve) {
-    CertServerConfig ServerConfig;
-    ServerConfig.Query.Depth = Options.Depth;
-    ServerConfig.Query.Domain = Options.Domain;
-    ServerConfig.Query.Threat = Serving.Threat;
-    ServerConfig.Query.DisjunctCap = Options.DisjunctCap;
-    ServerConfig.Query.Limits.TimeoutSeconds = Options.TimeoutSeconds;
-    ServerConfig.Query.Limits.MaxCacheBytes = Serving.CacheBytes;
-    ServerConfig.Query.FrontierJobs = Serving.FrontierJobs;
-    ServerConfig.Query.DeltaSlack = Serving.DeltaSlack;
-    ServerConfig.Jobs = Serving.Jobs;
-    ServerConfig.Store = Store;
-    CertServer Server(Train, ServerConfig);
+    CertServer Server(Train, serverConfig(Options, Store));
     std::printf("serving (dataset %s, threat %s): one query per line on "
                 "stdin (%u comma-separated features), n=%u\n",
                 Server.verifier().fingerprint().hex().c_str(),
@@ -572,7 +568,6 @@ int main(int Argc, char **Argv) {
   Config.Threat = Serving.Threat;
   Config.DisjunctCap = Options.DisjunctCap;
   Config.Limits.TimeoutSeconds = Options.TimeoutSeconds;
-  Config.Limits.MaxCacheBytes = Serving.CacheBytes;
   Config.FrontierJobs = Serving.FrontierJobs;
   Config.DeltaSlack = Serving.DeltaSlack;
   // The one-shot and --all modes reuse the same composed store: a

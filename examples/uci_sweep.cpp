@@ -133,7 +133,6 @@ int main(int Argc, char **Argv) {
   Config.Depths = {1, 2};
   Config.Threat = Serving.Threat;
   Config.InstanceLimits.TimeoutSeconds = 2.0;
-  Config.InstanceLimits.MaxCacheBytes = Serving.CacheBytes;
   Config.MaxPoisoning = Train.numRows();
   Config.Jobs = Serving.Jobs;
   Config.FrontierJobs = Serving.FrontierJobs;

@@ -26,10 +26,11 @@
 ///      scores — i.e. everything whose score interval overlaps the minimal
 ///      interval.
 ///
-/// The loop runs *per feature*: each shard scores one feature's candidates
-/// (Φ∃ membership, score intervals, its local lubΦ∀ contribution), and the
-/// shards fold in strict feature-index order, which replays the emission
-/// order of one flat scan.
+/// `selectMinimalSplits` is that rule, written once: one scan over the
+/// shared candidate enumerator with the score and the Φ∀ test supplied by
+/// the threat model. The removal model (`abstractBestSplit`) scores
+/// symbolic candidates with `score#`; the label-flip model
+/// (abstract/LabelFlip.h) scores concrete midpoints and takes Φ∀ = Φ∃.
 ///
 /// `BestSplitMemo` shares the transformer's results between the queries of
 /// one verification batch, which mostly reach the same few states near the
@@ -47,21 +48,96 @@
 #include "concrete/BestSplit.h"
 #include "support/Budget.h"
 
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 namespace antidote {
 
-/// `bestSplit#(⟨T,n⟩)`. Requires a non-empty abstract set.
+/// The Ψ-selection rule of §4.6 over the candidates of `State.rows()`,
+/// enumerated in \p Mode. \p Score maps a candidate's sides
+/// `(PosCounts, PosTotal, NegCounts, NegTotal)` to its score interval;
+/// \p IsUniversal maps `(PosTotal, NegTotal)` to Φ∀ membership. Every
+/// enumerated candidate is in Φ∃. Returns Φ∃ ∪ {⋄} when Φ∀ is empty, and
+/// otherwise the candidates whose score lower bound is at most lubΦ∀.
+/// Requires a non-empty abstract set.
 ///
-/// When \p Meter is given, the candidate scoring polls it up front and
-/// periodically while scoring; an
-/// interrupted run returns `std::nullopt`, never a truncated set — a
+/// When \p Meter is given it is polled up front and every 64 candidates;
+/// an interrupted run returns `std::nullopt`, never a truncated set — a
 /// partial Ψ could fabricate terminals the untruncated run would never
 /// produce (spuriously refuting domination), so truncation is
 /// unrepresentable and every caller must handle the interrupt explicitly.
 /// Without a meter the result is always engaged.
+template <typename ScoreFn, typename UniversalFn>
+std::optional<PredicateSet>
+selectMinimalSplits(const SplitContext &Ctx, const AbstractDataset &State,
+                    PredicateMode Mode, const ResourceMeter *Meter,
+                    ScoreFn &&Score, UniversalFn &&IsUniversal) {
+  assert(!State.isEmptySet() && "bestSplit# of the empty abstract set");
+  if (Meter && Meter->interrupted())
+    return std::nullopt;
+  const std::vector<uint32_t> &Totals = State.counts();
+  const uint32_t Total = State.size();
+  std::vector<uint32_t> NegCounts(Totals.size());
+
+  struct Candidate {
+    SplitPredicate Pred;
+    double ScoreLb;
+  };
+  // The running lub only decreases, so a candidate whose lower bound
+  // already exceeds it can never be kept and is not stored.
+  std::vector<Candidate> Kept;
+  double Lub = std::numeric_limits<double>::infinity();
+  bool AnyUniversal = false;
+  bool Interrupted = false;
+  unsigned SinceCheck = 0;
+  forEachCandidateSplit(
+      Ctx, State.rows(), Mode,
+      [&](const SplitPredicate &Pred, const std::vector<uint32_t> &PosCounts,
+          uint32_t PosTotal) {
+        if (Interrupted)
+          return;
+        if (Meter && ++SinceCheck == 64) {
+          SinceCheck = 0;
+          if (Meter->interrupted()) {
+            Interrupted = true;
+            return;
+          }
+        }
+        const uint32_t NegTotal = Total - PosTotal;
+        for (size_t C = 0; C < Totals.size(); ++C)
+          NegCounts[C] = Totals[C] - PosCounts[C];
+        Interval S = Score(PosCounts, PosTotal, NegCounts, NegTotal);
+        if (IsUniversal(PosTotal, NegTotal)) {
+          AnyUniversal = true;
+          Lub = std::min(Lub, S.ub());
+        }
+        if (S.lb() <= Lub)
+          Kept.push_back({Pred, S.lb()});
+      });
+  if (Interrupted)
+    return std::nullopt;
+
+  PredicateSet Psi;
+  Psi.reserve(Kept.size());
+  for (const Candidate &C : Kept)
+    if (C.ScoreLb <= Lub)
+      Psi.add(C.Pred);
+  // No predicate is guaranteed non-trivial for every concretization, so
+  // some concretization may make bestSplit return ⋄ (§4.6).
+  if (!AnyUniversal)
+    Psi.addNull();
+  Psi.canonicalize();
+  return Psi;
+}
+
+/// `bestSplit#(⟨T,n⟩)` under the removal model: `selectMinimalSplits` over
+/// symbolic candidates, scored by `score#` with side budgets min(n, |side|)
+/// (equation (1)), where Φ∀ holds iff neither side can be emptied by
+/// dropping n rows. Requires a non-empty abstract set; \p Meter as in
+/// `selectMinimalSplits`.
 std::optional<PredicateSet>
 abstractBestSplit(const SplitContext &Ctx, const AbstractDataset &Data,
                   CprobTransformerKind Kind,

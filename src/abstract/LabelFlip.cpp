@@ -7,12 +7,12 @@
 
 #include "abstract/LabelFlip.h"
 
+#include "abstract/AbstractBestSplit.h"
 #include "abstract/AbstractDTrace.h"
 #include "abstract/AbstractGini.h"
 #include "support/Timer.h"
 
 #include <algorithm>
-#include <limits>
 
 using namespace antidote;
 
@@ -48,41 +48,20 @@ Interval antidote::flipSplitScore(const std::vector<uint32_t> &PosCounts,
          Interval(static_cast<double>(NegTotal)) * NegEnt;
 }
 
-std::vector<SplitPredicate>
-antidote::flipBestSplit(const SplitContext &Ctx, const RowIndexList &Rows,
-                        uint32_t Budget) {
-  std::vector<uint32_t> Totals = classCounts(Ctx.base(), Rows);
-  uint32_t Total = static_cast<uint32_t>(Rows.size());
-  unsigned NumClasses = Ctx.base().numClasses();
-
-  struct Scored {
-    SplitPredicate Pred;
-    double Lb;
-  };
-  std::vector<Scored> Candidates;
-  double Lub = std::numeric_limits<double>::infinity();
-  std::vector<uint32_t> NegCounts(NumClasses);
-  // Every candidate splits every concretization identically (flips do not
-  // move feature values), so all candidates are "universal" and the
-  // minimal-interval rule of §4.6 applies over the whole set.
-  forEachCandidateSplit(
-      Ctx, Rows, PredicateMode::ConcreteMidpoint,
-      [&](const SplitPredicate &Pred, const std::vector<uint32_t> &PosCounts,
-          uint32_t PosTotal) {
-        for (unsigned C = 0; C < NumClasses; ++C)
-          NegCounts[C] = Totals[C] - PosCounts[C];
-        Interval Score = flipSplitScore(PosCounts, PosTotal, NegCounts,
-                                        Total - PosTotal, Budget);
-        Candidates.push_back({Pred, Score.lb()});
-        Lub = std::min(Lub, Score.ub());
-      });
-
-  std::vector<SplitPredicate> Kept;
-  for (const Scored &Candidate : Candidates)
-    if (Candidate.Lb <= Lub)
-      Kept.push_back(Candidate.Pred);
-  std::sort(Kept.begin(), Kept.end());
-  return Kept;
+std::optional<PredicateSet>
+antidote::flipBestSplit(const SplitContext &Ctx, const AbstractDataset &State,
+                        const ResourceMeter *Meter) {
+  // Flips do not move feature values, so every candidate splits every
+  // concretization identically: all candidates are universal.
+  const uint32_t Budget = State.budget();
+  return selectMinimalSplits(
+      Ctx, State, PredicateMode::ConcreteMidpoint, Meter,
+      [Budget](const std::vector<uint32_t> &PosCounts, uint32_t PosTotal,
+               const std::vector<uint32_t> &NegCounts, uint32_t NegTotal) {
+        return flipSplitScore(PosCounts, PosTotal, NegCounts, NegTotal,
+                              Budget);
+      },
+      [](uint32_t, uint32_t) { return true; });
 }
 
 LabelFlipResult

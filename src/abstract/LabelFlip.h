@@ -26,7 +26,7 @@
 ///  - only the class counts are uncertain: class i's count ranges over
 ///    [max(0, c_i − n), min(c_i + n, |T|)], giving the flip `cprob#`.
 /// What remains abstract is `bestSplit#` (scores depend on labels), handled
-/// with the same minimal-interval-overlap rule as §4.6, and the `ent = 0`
+/// by the same Ψ-selection scan as §4.6's removal rule, and the `ent = 0`
 /// conditional (the attacker may be able to force a pure leaf of either
 /// class). The analysis runs the disjunctive domain (§5.2 style); a box
 /// variant would need a row-set join against flip semantics and is
@@ -43,7 +43,9 @@
 #ifndef ANTIDOTE_ABSTRACT_LABELFLIP_H
 #define ANTIDOTE_ABSTRACT_LABELFLIP_H
 
+#include "abstract/AbstractDataset.h"
 #include "abstract/Domination.h"
+#include "abstract/PredicateSet.h"
 #include "concrete/DTrace.h"
 #include "support/Budget.h"
 #include "support/Interval.h"
@@ -66,13 +68,16 @@ Interval flipSplitScore(const std::vector<uint32_t> &PosCounts,
                         uint32_t PosTotal, const std::vector<uint32_t>
                         &NegCounts, uint32_t NegTotal, uint32_t Budget);
 
-/// Flip-model `bestSplit#`: every concrete (midpoint) predicate whose
-/// score interval overlaps the minimal one. Since triviality of a split is
-/// label-independent, Φ∀ = Φ∃ and ⋄ arises exactly when no non-trivial
-/// candidate exists (then *every* concretization returns).
-std::vector<SplitPredicate> flipBestSplit(const SplitContext &Ctx,
-                                          const RowIndexList &Rows,
-                                          uint32_t Budget);
+/// Flip-model `bestSplit#(⟨T,n⟩)`: `selectMinimalSplits`
+/// (abstract/AbstractBestSplit.h) over the concrete midpoint candidates of
+/// `State.rows()`, scored by `flipSplitScore`. Triviality of a split is
+/// label-independent, so Φ∀ = Φ∃: Ψ is every candidate whose score
+/// interval overlaps the minimal one, and exactly {⋄} when no non-trivial
+/// candidate exists (then *every* concretization returns). Requires a
+/// non-empty state; an interrupted run returns `std::nullopt`.
+std::optional<PredicateSet> flipBestSplit(const SplitContext &Ctx,
+                                          const AbstractDataset &State,
+                                          const ResourceMeter *Meter = nullptr);
 
 /// Configuration of a flip-robustness query.
 struct LabelFlipConfig {

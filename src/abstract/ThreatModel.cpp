@@ -147,23 +147,7 @@ public:
   bestSplit(const SplitContext &Ctx, const AbstractDataset &Cur,
             CprobTransformerKind, GiniLiftingKind,
             const ResourceMeter *Meter) const override {
-    // flipBestSplit has no internal poll points; honor the engine's
-    // nullopt-on-interrupt contract with an up-front check.
-    if (Meter && Meter->interrupted())
-      return std::nullopt;
-    std::vector<SplitPredicate> Preds =
-        flipBestSplit(Ctx, Cur.rows(), Cur.budget());
-    if (Preds.empty()) {
-      // No non-trivial split exists for *any* labeling (triviality is
-      // label-independent): Φ∀ = Φ∃ = ∅, so every concrete run returns
-      // here — the result is exactly {⋄}.
-      return PredicateSet::nullOnly();
-    }
-    PredicateSet Psi;
-    Psi.reserve(Preds.size());
-    for (const SplitPredicate &Pred : Preds)
-      Psi.add(Pred);
-    return Psi;
+    return flipBestSplit(Ctx, Cur, Meter);
   }
 };
 

@@ -119,9 +119,10 @@ public:
                        std::vector<std::vector<Interval>> &Forced) const = 0;
 
   /// `bestSplit#(⟨T,n⟩)` — the model's candidate/overlap rule (§4.6 for
-  /// removal, the concrete-midpoint variant for flips). Contract matches
-  /// `abstractBestSplit`: an interrupted run returns std::nullopt, never a
-  /// truncated set; ⋄ ∈ result marks concretizations that return here.
+  /// removal, the concrete-midpoint variant for flips). Both models run
+  /// the one `selectMinimalSplits` scan (abstract/AbstractBestSplit.h):
+  /// an interrupted run returns std::nullopt, never a truncated set;
+  /// ⋄ ∈ result marks concretizations that return here.
   /// The engine restricts the current state by each returned predicate via
   /// `AbstractDataset::restrict`, which is exact for both models' predicate
   /// kinds.

@@ -156,7 +156,6 @@ public:
   /// from the parent's fingerprint plus the mutation counters the
   /// `Dataset` kept since `markLineage()` (data/Dataset.h).
   void setLineage(const DatasetLineage &L) { Lineage = L; HasLineage = true; }
-  void clearLineage() { HasLineage = false; }
   const DatasetLineage *lineage() const {
     return HasLineage ? &Lineage : nullptr;
   }

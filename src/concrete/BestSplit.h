@@ -14,22 +14,18 @@
 /// the midpoint (a+b)/2 (`DTraceR`, §5.1); the abstract learner considers
 /// the symbolic interval [a, b) for the same pairs (Appendix B.2). Both the
 /// concrete and abstract `bestSplit` operators therefore share one
-/// enumerator, split into two layers so candidate scoring runs *per
-/// feature*:
+/// enumerator, `forEachCandidateSplit`, which streams every candidate in
+/// ascending (feature, threshold) order. The concrete `bestSplit` is one
+/// scan over it with a running argmin; `bestSplit#` is one scan with a
+/// running lub (abstract/AbstractBestSplit.h). The enumerator has two
+/// layers:
 ///
-///  - `SplitEnumerationPrepass` — the read-only state every per-feature
-///    pass needs (the row-membership mask and, for boolean features, the
-///    class counts of each feature's `value == 0` side), built in one
-///    row-major pass and then shared by any number of concurrent
-///    per-feature passes.
+///  - `SplitEnumerationPrepass` — the state every feature's pass needs
+///    (the row-membership mask and, for boolean features, the class
+///    counts of each feature's `value == 0` side), built in one row-major
+///    pass.
 ///  - `forEachFeatureCandidateSplit` — streams one feature's candidates in
-///    ascending threshold order. Distinct features touch disjoint state,
-///    so per-feature calls are safe to run on different threads, and
-///    concatenating their emissions in feature-index order replays exactly
-///    the serial enumeration order — the property the per-feature
-///    `bestSplit` / `bestSplit#` folds rely on for bit-identical results.
-///  - `forEachCandidateSplit` — the serial composition of the two, kept as
-///    the single-threaded entry point.
+///    ascending threshold order.
 ///
 /// `SplitContext` caches, per base dataset, the per-feature value-sorted row
 /// orders that make each enumeration a single filtered pass (O(|features| ×
@@ -97,9 +93,7 @@ private:
 /// Read-only state shared by every per-feature enumeration pass over one
 /// row set: the base-row membership mask and (when the schema has boolean
 /// features) the per-feature class counts of the `value == 0` side.
-/// Building it is the one row-major pass of the enumeration; afterwards it
-/// is never mutated, so any number of threads may run
-/// `forEachFeatureCandidateSplit` against one prepass concurrently. The
+/// Building it is the one row-major pass of the enumeration. The
 /// referenced context and row list must outlive the prepass.
 class SplitEnumerationPrepass {
 public:
@@ -131,9 +125,9 @@ private:
 ///   `Cb(const SplitPredicate &P, const std::vector<uint32_t> &PosCounts,
 ///       uint32_t PosTotal)`
 /// exactly as `forEachCandidateSplit` does for the full enumeration.
-/// \p PosCounts is caller-provided scratch of size `numClasses()` (each
-/// concurrent caller brings its own). Candidates whose positive side would
-/// be empty or the whole set are skipped (trivial for every consumer).
+/// \p PosCounts is caller-provided scratch of size `numClasses()`.
+/// Candidates whose positive side would be empty or the whole set are
+/// skipped (trivial for every consumer).
 template <typename Callback>
 void forEachFeatureCandidateSplit(const SplitEnumerationPrepass &Pre,
                                   unsigned Feature, PredicateMode Mode,
@@ -224,8 +218,8 @@ void forEachFeatureCandidateSplit(const SplitEnumerationPrepass &Pre,
 }
 
 /// Streams every candidate split of \p Rows (which must be a canonical row
-/// set over `Ctx.base()`): the serial composition of one prepass and the
-/// per-feature passes in ascending feature order.
+/// set over `Ctx.base()`): one prepass, then the per-feature passes in
+/// ascending feature order.
 ///
 /// For each candidate, invokes
 ///   `Cb(const SplitPredicate &P, const std::vector<uint32_t> &PosCounts,

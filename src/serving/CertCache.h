@@ -10,8 +10,8 @@
 /// LRU map from the normalized `StoreKey` (dataset fingerprint, query bit
 /// pattern, poisoning budget, result-relevant `VerifierConfig` fields) to
 /// the `Certificate` a fresh verification produced, evicting
-/// least-recently-used entries once a byte budget
-/// (`ResourceLimits::MaxCacheBytes`) is exceeded.
+/// least-recently-used entries once its byte budget (`--cache-bytes`,
+/// `ANTIDOTE_CACHE_BYTES`) is exceeded.
 ///
 /// Invariants (tests/CertCacheTests.cpp enforces each):
 ///
@@ -36,11 +36,10 @@
 ///  - **Byte-budgeted.** Every entry is charged its approximate resident
 ///    footprint — the key (query vector included), the certificate, and
 ///    the map/list node overhead, so the charge can never undercount to
-///    just the value bytes; inserting past `MaxCacheBytes` evicts from
-///    the LRU tail until the new entry fits (an entry alone exceeding
-///    the whole budget is declined outright). 0 = unbounded, matching
-///    the "0 disables the cap" convention of the other `ResourceLimits`
-///    knobs.
+///    just the value bytes; inserting past the budget evicts from the
+///    LRU tail until the new entry fits (an entry alone exceeding the
+///    whole budget is declined outright). 0 = unbounded, matching the
+///    "0 disables the cap" convention of the `ResourceLimits` knobs.
 ///  - **Concurrent.** `lookup`/`store` run from batch-pool workers inside
 ///    `Verifier::verifyBatch`; one internal mutex serializes them (the
 ///    guarded work is a hash probe plus a splice — microseconds against
@@ -70,11 +69,6 @@ class CertCache final : public CertificateStore {
 public:
   /// \p MaxBytes caps the approximate resident footprint; 0 = unbounded.
   explicit CertCache(uint64_t MaxBytes) : MaxBytes(MaxBytes) {}
-
-  /// Draws the budget from the single home of resource knobs
-  /// (`Limits.MaxCacheBytes`; see support/Budget.h).
-  explicit CertCache(const ResourceLimits &Limits)
-      : CertCache(Limits.MaxCacheBytes) {}
 
   uint64_t maxBytes() const { return MaxBytes; }
 

@@ -49,6 +49,17 @@ void CertServer::fulfill(Request &R, const Certificate &Cert) {
     Completion(Cert);
 }
 
+Certificate CertServer::unverified(VerdictKind Kind,
+                                   uint32_t PoisoningBudget) const {
+  Certificate Cert;
+  Cert.Kind = Kind;
+  Cert.PoisoningBudget = PoisoningBudget;
+  Cert.Depth = Config.Query.Depth;
+  Cert.Domain = Config.Query.Domain;
+  Cert.Threat = Config.Query.Threat;
+  return Cert;
+}
+
 std::future<Certificate> CertServer::submit(std::vector<float> X,
                                             uint32_t PoisoningBudget) {
   Request R;
@@ -83,15 +94,9 @@ std::future<Certificate> CertServer::enqueue(Request R,
   {
     std::lock_guard<std::mutex> Guard(Mutex);
     if (Stopping) {
-      Certificate Refused;
-      Refused.Kind = VerdictKind::Cancelled;
-      Refused.PoisoningBudget = R.PoisoningBudget;
-      Refused.Depth = Config.Query.Depth;
-      Refused.Domain = Config.Query.Domain;
-      Refused.Threat = Config.Query.Threat;
       if (TicketOut)
         *TicketOut = 0; // Nothing to cancel; the answer is already here.
-      fulfill(R, Refused);
+      fulfill(R, unverified(VerdictKind::Cancelled, R.PoisoningBudget));
       return Result;
     }
     if (TicketOut) {
@@ -135,13 +140,8 @@ bool CertServer::cancelRequest(uint64_t Ticket) {
       return true;
     }
   }
-  Certificate Refused;
-  Refused.Kind = VerdictKind::Cancelled;
-  Refused.PoisoningBudget = Cancelled.PoisoningBudget;
-  Refused.Depth = Config.Query.Depth;
-  Refused.Domain = Config.Query.Domain;
-  Refused.Threat = Config.Query.Threat;
-  fulfill(Cancelled, Refused);
+  fulfill(Cancelled,
+          unverified(VerdictKind::Cancelled, Cancelled.PoisoningBudget));
   Idle.notify_all(); // A drain may have been waiting on this request.
   return true;
 }
@@ -258,13 +258,7 @@ void CertServer::serveBatch(std::vector<Request> Batch) {
       for (size_t I = GroupStart; I < GroupEnd; ++I) {
         Request &R = Batch[Order[I]];
         if (R.HasDeadline && R.Deadline <= Now) {
-          Certificate Expired;
-          Expired.Kind = VerdictKind::Timeout;
-          Expired.PoisoningBudget = N;
-          Expired.Depth = Config.Query.Depth;
-          Expired.Domain = Config.Query.Domain;
-          Expired.Threat = Config.Query.Threat;
-          finish(R, Expired);
+          finish(R, unverified(VerdictKind::Timeout, N));
           continue;
         }
         VerifierConfig C = Config.Query;

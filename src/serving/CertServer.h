@@ -80,8 +80,7 @@ namespace antidote {
 /// Server-wide parameters.
 struct CertServerConfig {
   /// Per-query verification parameters, shared by every request: depth,
-  /// domain, per-query `Limits` (whose `MaxCacheBytes` also sizes the
-  /// server's cache), and the in-query FrontierJobs knob.
+  /// domain, per-query `Limits`, and the in-query FrontierJobs knob.
   /// `FrontierPool`, `Cache`, and `Cancel` are overwritten by the server
   /// with its own long-lived instances (`Cancel` is the `abort()` lever).
   VerifierConfig Query;
@@ -253,6 +252,11 @@ private:
   /// Fulfills \p R's promise and fires its completion callback (in that
   /// order — the callback may inspect the future's side effects).
   static void fulfill(Request &R, const Certificate &Cert);
+
+  /// The certificate of a request answered without verifying: verdict
+  /// \p Kind (Cancelled or Timeout, which claim nothing) at budget
+  /// \p PoisoningBudget under the server's query config.
+  Certificate unverified(VerdictKind Kind, uint32_t PoisoningBudget) const;
 
   /// Shared enqueue tail of both submit overloads. \p TicketOut non-null
   /// marks the request ticketed: it gets a ticket, its own cancellation

@@ -173,10 +173,10 @@ public:
 ///    budget. A range-served certificate comes back with
 ///    `PoisoningBudget` rewritten to the queried n and
 ///    `CertifiedRadius` still naming the stored proof's radius.
-///    Scheduling knobs (FrontierJobs/pools),
-///    the cancellation token, `Limits.MaxCacheBytes`, and the `Cache`
-///    pointer itself are certificate-irrelevant — certificates are
-///    bit-identical across them — and must not distinguish keys.
+///    Scheduling knobs (FrontierJobs/pools), the cancellation token, and
+///    the `Cache` pointer itself are certificate-irrelevant —
+///    certificates are bit-identical across them — and must not
+///    distinguish keys.
 ///  - The verifier only offers deterministic verdicts for storage
 ///    (Robust / Unknown / ResourceLimit); wall-clock- or
 ///    controller-dependent ones (Timeout / Cancelled) are never cached,

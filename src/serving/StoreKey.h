@@ -21,14 +21,13 @@
 ///    vice versa — the key partitions the range indexes per model too),
 ///    Cprob, Gini, DisjunctCap *only when the capped domain reads it*
 ///    (normalized to 0 otherwise, so Box/Disjuncts clients with
-///    different ignored caps share entries), and the three run-stopping
+///    different ignored caps share entries), and the three
 ///    `ResourceLimits` knobs.
 ///
-/// Scheduling knobs (FrontierJobs/pools), the cancellation
-/// token, `MaxCacheBytes`, and the `Cache` pointer itself never enter a
-/// key: certificates are bit-identical across them, and splitting keys
-/// on them would stop a serial client from hitting entries a 64-thread
-/// sweep populated. Because both the RAM and the disk tier build keys
+/// Scheduling knobs (FrontierJobs/pools), the cancellation token, and the
+/// `Cache` pointer itself never enter a key: certificates are
+/// bit-identical across them, and splitting keys on them would stop a
+/// serial client from hitting entries a 64-thread sweep populated. Because both the RAM and the disk tier build keys
 /// through the same `makeStoreKey`, an entry written by either tier is
 /// addressable by the other — and by any other process that loads the
 /// same dataset (the fingerprint is process-independent by

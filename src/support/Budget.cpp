@@ -11,21 +11,6 @@
 
 using namespace antidote;
 
-const char *antidote::budgetOutcomeName(BudgetOutcome Outcome) {
-  switch (Outcome) {
-  case BudgetOutcome::Ok:
-    return "ok";
-  case BudgetOutcome::Cancelled:
-    return "cancelled";
-  case BudgetOutcome::Timeout:
-    return "timeout";
-  case BudgetOutcome::ResourceLimit:
-    return "resource-limit";
-  }
-  assert(false && "unknown budget outcome");
-  return "?";
-}
-
 void CancellationToken::cancel(BudgetOutcome WithReason) {
   assert(WithReason != BudgetOutcome::Ok && "cancelling with reason Ok");
   uint8_t Expected = static_cast<uint8_t>(BudgetOutcome::Ok);

@@ -41,12 +41,9 @@ enum class BudgetOutcome : uint8_t {
   ResourceLimit, ///< Disjunct/state-byte cap exceeded (the paper's OOM).
 };
 
-const char *budgetOutcomeName(BudgetOutcome Outcome);
-
 /// The resource knobs of a budgeted run. This struct is the *only* place
 /// they are declared; `AbstractLearnerConfig`, `VerifierConfig`,
-/// `SweepConfig`, and `LabelFlipConfig` all embed it, and the serving
-/// layer's `CertCache` draws its retention budget from it.
+/// `SweepConfig`, and `LabelFlipConfig` all embed it.
 struct ResourceLimits {
   /// Per-run wall-clock budget in seconds (the paper uses 3600 s; §6.1).
   /// 0 disables.
@@ -58,13 +55,6 @@ struct ResourceLimits {
 
   /// Cap on live abstract-state bytes. 0 disables.
   uint64_t MaxStateBytes = 0;
-
-  /// Cap on bytes a certificate cache built from these limits may retain
-  /// (LRU eviction; see serving/CertCache.h). Unlike the three caps
-  /// above it never stops a run — it only bounds what is *remembered*
-  /// between runs — and it does not enter the cache's lookup key. 0
-  /// disables the cap (unbounded retention).
-  uint64_t MaxCacheBytes = 0;
 };
 
 /// A shared cooperative-cancellation flag. One controller cancels; any
@@ -104,7 +94,6 @@ public:
       : Limits(Limits), Cancel(Cancel), Clock(Limits.TimeoutSeconds) {}
 
   const ResourceLimits &limits() const { return Limits; }
-  double elapsedSeconds() const { return Clock.elapsedSeconds(); }
 
   /// Full budget check against the current live-state levels. Token
   /// cancellation wins over the deadline, which wins over the caps.
@@ -123,13 +112,6 @@ public:
   /// Deadline/token-only check for loops that track no resource levels.
   bool interrupted() const {
     return (Cancel && Cancel->cancelled()) || Clock.expired();
-  }
-
-  /// The outcome an `interrupted()` stop should report.
-  BudgetOutcome interruptionReason() const {
-    if (Cancel && Cancel->cancelled())
-      return Cancel->reason();
-    return BudgetOutcome::Timeout;
   }
 
 private:

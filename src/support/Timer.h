@@ -47,8 +47,6 @@ public:
     return hasBudget() && Elapsed.seconds() >= Budget;
   }
 
-  double elapsedSeconds() const { return Elapsed.seconds(); }
-
 private:
   double Budget;
   Timer Elapsed;

@@ -149,6 +149,14 @@ TEST(AbstractBestSplitTest, InterruptedBestSplitReturnsNullopt) {
   EXPECT_EQ(abstractBestSplit(Ctx, A, CprobTransformerKind::Optimal,
                               GiniLiftingKind::ExactTerm, &Meter),
             std::nullopt);
+  // Both threat models' bestSplit# go through the same selection pass and
+  // honor the same contract.
+  for (ThreatModelKind Kind :
+       {ThreatModelKind::Removal, ThreatModelKind::LabelFlip})
+    EXPECT_EQ(threatModel(Kind).bestSplit(Ctx, A, CprobTransformerKind::Optimal,
+                                          GiniLiftingKind::ExactTerm, &Meter),
+              std::nullopt)
+        << threatModelName(Kind);
 }
 
 //===----------------------------------------------------------------------===//

@@ -57,7 +57,8 @@ TEST(FlipCprobTest, SoundOverFlipEnumeration) {
 TEST(FlipBestSplitTest, ZeroBudgetMatchesConcrete) {
   Dataset Data = figure2Dataset();
   SplitContext Ctx(Data);
-  std::vector<SplitPredicate> Preds = flipBestSplit(Ctx, allRows(Data), 0);
+  std::vector<SplitPredicate> Preds =
+      flipBestSplit(Ctx, AbstractDataset::entire(Data, 0))->predicates();
   ASSERT_EQ(Preds.size(), 1u);
   EXPECT_DOUBLE_EQ(Preds[0].thresholdValue(), 10.5);
 }
@@ -68,7 +69,8 @@ TEST(FlipBestSplitTest, PredicatesAreConcreteAndGrowWithBudget) {
   size_t Prev = 0;
   for (uint32_t Budget : {0u, 1u, 2u, 4u}) {
     std::vector<SplitPredicate> Preds =
-        flipBestSplit(Ctx, allRows(Data), Budget);
+        flipBestSplit(Ctx, AbstractDataset::entire(Data, Budget))
+            ->predicates();
     for (const SplitPredicate &Pred : Preds)
       EXPECT_FALSE(Pred.isSymbolic());
     EXPECT_GE(Preds.size(), Prev);
@@ -88,7 +90,8 @@ TEST(FlipBestSplitTest, CoversConcreteBestOfEveryRelabeling) {
     SplitContext Ctx(Data);
     RowIndexList Rows = allRows(Data);
     uint32_t Budget = 1 + static_cast<uint32_t>(R.uniformInt(2));
-    std::vector<SplitPredicate> Psi = flipBestSplit(Ctx, Rows, Budget);
+    std::vector<SplitPredicate> Psi =
+        flipBestSplit(Ctx, AbstractDataset(Data, Rows, Budget))->predicates();
     // Enumerate relabelings and check coverage of each concrete best.
     std::vector<unsigned> Labels(Rows.size());
     for (size_t I = 0; I < Rows.size(); ++I)

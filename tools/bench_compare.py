@@ -44,6 +44,7 @@ DEFAULT_PATTERNS = [
     r"^BM_Kernel",
     r"^BM_ConcreteBestSplit",
     r"^BM_AbstractBestSplit",
+    r"^BM_FlipBestSplit",
     r"^BM_AbstractRestrict",
     r"^BM_AbstractGini",
     r"^BM_FlipVerify",
