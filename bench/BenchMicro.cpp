@@ -179,6 +179,25 @@ static void BM_AbstractBestSplit(benchmark::State &State) {
 }
 BENCHMARK(BM_AbstractBestSplit)->Arg(1)->Arg(8)->Arg(64);
 
+// The hard-mnist benchmark's dominant layer: bestSplit# at the mnist17-real
+// root, over 300k candidates in 784 feature blocks.
+static void BM_AbstractBestSplitMnist(benchmark::State &State) {
+  static const BenchmarkDataset Mnist =
+      loadBenchmarkDataset("mnist17-real", BenchScale::Scaled);
+  static const SplitContext Ctx(Mnist.Split.Train);
+  AbstractDataset A = AbstractDataset::entire(
+      Mnist.Split.Train, static_cast<uint32_t>(State.range(0)));
+  for (auto _ : State) {
+    PredicateSet Psi =
+        *abstractBestSplit(Ctx, A, CprobTransformerKind::Optimal);
+    benchmark::DoNotOptimize(Psi.size());
+  }
+}
+BENCHMARK(BM_AbstractBestSplitMnist)
+    ->Arg(1)
+    ->Arg(8)
+    ->Unit(benchmark::kMillisecond);
+
 // The label-flip bestSplit#: the same Ψ-selection pass as above over
 // concrete midpoints with the flip score#, on the same root.
 static void BM_FlipBestSplit(benchmark::State &State) {
@@ -200,19 +219,18 @@ BENCHMARK(BM_FlipBestSplit)->Arg(1)->Arg(8)->Arg(64);
 // (BENCH_kernels.json); a >25% cpu_time slowdown fails the gate.
 //===----------------------------------------------------------------------===//
 
-// One full candidate enumeration pass over every feature: compaction of the
-// sorted orders into dense (value, label) scratch plus the boundary scan.
+// One full candidate enumeration pass over every feature: the sorted
+// (value, label) sequence plus the boundary scan that fills each feature's
+// split block.
 static void BM_KernelSplitCandidateScan(benchmark::State &State) {
   RowIndexList Rows = allRows(mammo().Split.Train);
   SplitEnumerationPrepass Pre(mammoCtx(), Rows);
-  std::vector<uint32_t> PosCounts(mammo().Split.Train.numClasses());
+  SplitBlock Block;
   for (auto _ : State) {
     size_t Candidates = 0;
     for (unsigned F = 0; F < mammo().Split.Train.numFeatures(); ++F)
-      forEachFeatureCandidateSplit(
-          Pre, F, PredicateMode::ConcreteMidpoint, PosCounts,
-          [&](const SplitPredicate &, const std::vector<uint32_t> &,
-              uint32_t) { ++Candidates; });
+      if (Block.assign(Pre, F))
+        Candidates += Block.size();
     benchmark::DoNotOptimize(Candidates);
   }
 }

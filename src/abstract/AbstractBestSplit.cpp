@@ -9,7 +9,66 @@
 
 #include "abstract/AbstractFilter.h"
 
+#include <limits>
+
 using namespace antidote;
+
+std::optional<PredicateSet>
+antidote::selectMinimalSplits(const SplitContext &Ctx,
+                              const AbstractDataset &State,
+                              const SplitScorer &Scorer,
+                              const ResourceMeter *Meter) {
+  assert(!State.isEmptySet() && "bestSplit# of the empty abstract set");
+  if (Meter && Meter->interrupted())
+    return std::nullopt;
+  const uint32_t Total = State.size();
+
+  struct Candidate {
+    SplitPredicate Pred;
+    double ScoreLb;
+  };
+  std::vector<Candidate> Kept;
+  std::vector<double> Lb;
+  double Lub = std::numeric_limits<double>::infinity();
+  bool AnyUniversal = false;
+  bool Interrupted = false;
+  forEachSplitBlock(Ctx, State.rows(), [&](const SplitBlock &Block) {
+    if (Meter && Meter->interrupted()) {
+      Interrupted = true;
+      return false;
+    }
+    Lb.resize(Block.size());
+    Scorer.LowerBounds(Block, Lb.data());
+    const double *PosTotals = Block.posTotals();
+    for (size_t I = 0; I < Block.size(); ++I) {
+      // Past the running lub: never kept, and its ub ≥ lb cannot lower
+      // the lub (which is finite once any Φ∀ candidate was seen).
+      if (!(Lb[I] <= Lub))
+        continue;
+      const uint32_t PosTotal = static_cast<uint32_t>(PosTotals[I]);
+      if (Scorer.IsUniversal(PosTotal, Total - PosTotal)) {
+        AnyUniversal = true;
+        Lub = std::min(Lub, Scorer.UpperBound(Block, I));
+      }
+      Kept.push_back({Block.predicate(I, Scorer.Mode), Lb[I]});
+    }
+    return true;
+  });
+  if (Interrupted)
+    return std::nullopt;
+
+  PredicateSet Psi;
+  Psi.reserve(Kept.size());
+  for (const Candidate &C : Kept)
+    if (C.ScoreLb <= Lub)
+      Psi.add(C.Pred);
+  // No predicate is guaranteed non-trivial for every concretization, so
+  // some concretization may make bestSplit return ⋄ (§4.6).
+  if (!AnyUniversal)
+    Psi.addNull();
+  Psi.canonicalize();
+  return Psi;
+}
 
 std::optional<PredicateSet>
 antidote::abstractBestSplit(const SplitContext &Ctx,
@@ -21,17 +80,33 @@ antidote::abstractBestSplit(const SplitContext &Ctx,
   // set, so each side's rows are exact (DESIGN.md §5) and only its budget
   // is clamped.
   const uint32_t N = Data.budget();
-  return selectMinimalSplits(
-      Ctx, Data, PredicateMode::SymbolicInterval, Meter,
-      [&](const std::vector<uint32_t> &PosCounts, uint32_t PosTotal,
-          const std::vector<uint32_t> &NegCounts, uint32_t NegTotal) {
-        return abstractSplitScore(PosCounts, PosTotal, std::min(N, PosTotal),
-                                  NegCounts, NegTotal, std::min(N, NegTotal),
-                                  Kind, Lifting);
-      },
-      [N](uint32_t PosTotal, uint32_t NegTotal) {
-        return PosTotal > N && NegTotal > N;
-      });
+  std::vector<uint32_t> PosCounts, NegCounts;
+  auto Score = [&](const SplitBlock &Block, size_t I) {
+    const uint32_t PosTotal = Block.sideCounts(I, PosCounts, NegCounts);
+    const uint32_t NegTotal = Data.size() - PosTotal;
+    return abstractSplitScore(PosCounts, PosTotal, std::min(N, PosTotal),
+                              NegCounts, NegTotal, std::min(N, NegTotal),
+                              Kind, Lifting);
+  };
+  SplitScorer Scorer;
+  Scorer.Mode = PredicateMode::SymbolicInterval;
+  if (Kind == CprobTransformerKind::Optimal &&
+      Lifting == GiniLiftingKind::ExactTerm)
+    Scorer.LowerBounds = [N](const SplitBlock &Block, double *Lb) {
+      optimalExactScoreLowerBounds(Block, N, Lb);
+    };
+  else
+    Scorer.LowerBounds = [&](const SplitBlock &Block, double *Lb) {
+      for (size_t I = 0; I < Block.size(); ++I)
+        Lb[I] = Score(Block, I).lb();
+    };
+  Scorer.UpperBound = [&](const SplitBlock &Block, size_t I) {
+    return Score(Block, I).ub();
+  };
+  Scorer.IsUniversal = [N](uint32_t PosTotal, uint32_t NegTotal) {
+    return PosTotal > N && NegTotal > N;
+  };
+  return selectMinimalSplits(Ctx, Data, Scorer, Meter);
 }
 
 /// The memo's bucket hash: the row-set hash mixed with the small key

@@ -27,10 +27,13 @@
 ///      interval.
 ///
 /// `selectMinimalSplits` is that rule, written once: one scan over the
-/// shared candidate enumerator with the score and the Φ∀ test supplied by
-/// the threat model. The removal model (`abstractBestSplit`) scores
-/// symbolic candidates with `score#`; the label-flip model
-/// (abstract/LabelFlip.h) scores concrete midpoints and takes Φ∀ = Φ∃.
+/// shared candidate enumerator's feature blocks with the score and the Φ∀
+/// test supplied by the threat model. The removal model
+/// (`abstractBestSplit`) scores symbolic candidates with `score#`; the
+/// label-flip model (abstract/LabelFlip.h) scores concrete midpoints and
+/// takes Φ∀ = Φ∃. Both compute each block's lower bounds with a
+/// straight-line kernel and the few upper bounds that can matter with the
+/// per-candidate score.
 ///
 /// `BestSplitMemo` shares the transformer's results between the queries of
 /// one verification batch, which mostly reach the same few states near the
@@ -48,7 +51,7 @@
 #include "concrete/BestSplit.h"
 #include "support/Budget.h"
 
-#include <limits>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -56,88 +59,51 @@
 
 namespace antidote {
 
+/// How one threat model scores the candidates `selectMinimalSplits`
+/// enumerates. Each function is called once per feature block or once per
+/// surviving candidate, never once per enumerated candidate.
+struct SplitScorer {
+  /// The predicate form of the candidates.
+  PredicateMode Mode = PredicateMode::SymbolicInterval;
+  /// Writes the score lower bound of each of the block's candidates to the
+  /// array (`size()` entries).
+  std::function<void(const SplitBlock &, double *)> LowerBounds;
+  /// The score upper bound of the block's candidate I.
+  std::function<double(const SplitBlock &, size_t)> UpperBound;
+  /// Φ∀ membership from the side sizes (PosTotal, NegTotal).
+  std::function<bool(uint32_t, uint32_t)> IsUniversal;
+};
+
 /// The Ψ-selection rule of §4.6 over the candidates of `State.rows()`,
-/// enumerated in \p Mode. \p Score maps a candidate's sides
-/// `(PosCounts, PosTotal, NegCounts, NegTotal)` to its score interval;
-/// \p IsUniversal maps `(PosTotal, NegTotal)` to Φ∀ membership. Every
-/// enumerated candidate is in Φ∃. Returns Φ∃ ∪ {⋄} when Φ∀ is empty, and
-/// otherwise the candidates whose score lower bound is at most lubΦ∀.
-/// Requires a non-empty abstract set.
+/// scored by \p Scorer. Every enumerated candidate is in Φ∃. Returns
+/// Φ∃ ∪ {⋄} when Φ∀ is empty, and otherwise the candidates whose score
+/// lower bound is at most lubΦ∀. Requires a non-empty abstract set.
 ///
-/// When \p Meter is given it is polled up front and every 64 candidates;
-/// an interrupted run returns `std::nullopt`, never a truncated set — a
-/// partial Ψ could fabricate terminals the untruncated run would never
-/// produce (spuriously refuting domination), so truncation is
+/// Each feature's candidates are scored as one block: first every lower
+/// bound, then, in candidate order, the upper bound of each Φ∀ candidate
+/// whose lower bound is at most the running lub. That skip is exact: the
+/// lub only decreases and every score interval has ub ≥ lb, so a candidate
+/// whose lower bound exceeds the running lub can neither enter Ψ nor lower
+/// the lub.
+///
+/// When \p Meter is given it is polled up front and before each feature
+/// block; an interrupted run returns `std::nullopt`, never a truncated
+/// set — a partial Ψ could fabricate terminals the untruncated run would
+/// never produce (spuriously refuting domination), so truncation is
 /// unrepresentable and every caller must handle the interrupt explicitly.
 /// Without a meter the result is always engaged.
-template <typename ScoreFn, typename UniversalFn>
-std::optional<PredicateSet>
-selectMinimalSplits(const SplitContext &Ctx, const AbstractDataset &State,
-                    PredicateMode Mode, const ResourceMeter *Meter,
-                    ScoreFn &&Score, UniversalFn &&IsUniversal) {
-  assert(!State.isEmptySet() && "bestSplit# of the empty abstract set");
-  if (Meter && Meter->interrupted())
-    return std::nullopt;
-  const std::vector<uint32_t> &Totals = State.counts();
-  const uint32_t Total = State.size();
-  std::vector<uint32_t> NegCounts(Totals.size());
-
-  struct Candidate {
-    SplitPredicate Pred;
-    double ScoreLb;
-  };
-  // The running lub only decreases, so a candidate whose lower bound
-  // already exceeds it can never be kept and is not stored.
-  std::vector<Candidate> Kept;
-  double Lub = std::numeric_limits<double>::infinity();
-  bool AnyUniversal = false;
-  bool Interrupted = false;
-  unsigned SinceCheck = 0;
-  forEachCandidateSplit(
-      Ctx, State.rows(), Mode,
-      [&](const SplitPredicate &Pred, const std::vector<uint32_t> &PosCounts,
-          uint32_t PosTotal) {
-        if (Interrupted)
-          return;
-        if (Meter && ++SinceCheck == 64) {
-          SinceCheck = 0;
-          if (Meter->interrupted()) {
-            Interrupted = true;
-            return;
-          }
-        }
-        const uint32_t NegTotal = Total - PosTotal;
-        for (size_t C = 0; C < Totals.size(); ++C)
-          NegCounts[C] = Totals[C] - PosCounts[C];
-        Interval S = Score(PosCounts, PosTotal, NegCounts, NegTotal);
-        if (IsUniversal(PosTotal, NegTotal)) {
-          AnyUniversal = true;
-          Lub = std::min(Lub, S.ub());
-        }
-        if (S.lb() <= Lub)
-          Kept.push_back({Pred, S.lb()});
-      });
-  if (Interrupted)
-    return std::nullopt;
-
-  PredicateSet Psi;
-  Psi.reserve(Kept.size());
-  for (const Candidate &C : Kept)
-    if (C.ScoreLb <= Lub)
-      Psi.add(C.Pred);
-  // No predicate is guaranteed non-trivial for every concretization, so
-  // some concretization may make bestSplit return ⋄ (§4.6).
-  if (!AnyUniversal)
-    Psi.addNull();
-  Psi.canonicalize();
-  return Psi;
-}
+std::optional<PredicateSet> selectMinimalSplits(const SplitContext &Ctx,
+                                                const AbstractDataset &State,
+                                                const SplitScorer &Scorer,
+                                                const ResourceMeter *Meter);
 
 /// `bestSplit#(⟨T,n⟩)` under the removal model: `selectMinimalSplits` over
 /// symbolic candidates, scored by `score#` with side budgets min(n, |side|)
 /// (equation (1)), where Φ∀ holds iff neither side can be emptied by
-/// dropping n rows. Requires a non-empty abstract set; \p Meter as in
-/// `selectMinimalSplits`.
+/// dropping n rows. Optimal × ExactTerm takes its lower bounds from
+/// `optimalExactScoreLowerBounds`; the ablation kinds score each candidate
+/// with the per-candidate `abstractSplitScore`. Requires a non-empty
+/// abstract set; \p Meter as in `selectMinimalSplits`.
 std::optional<PredicateSet>
 abstractBestSplit(const SplitContext &Ctx, const AbstractDataset &Data,
                   CprobTransformerKind Kind,

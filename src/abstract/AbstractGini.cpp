@@ -7,6 +7,8 @@
 
 #include "abstract/AbstractGini.h"
 
+#include "concrete/BestSplit.h"
+
 #include <algorithm>
 
 using namespace antidote;
@@ -163,6 +165,28 @@ Interval antidote::abstractSplitScore(
                                                   PosBudget, Kind, Lifting) +
          NegSize * abstractGiniImpurityFromCounts(NegCounts, NegTotal,
                                                   NegBudget, Kind, Lifting);
+}
+
+void antidote::optimalExactScoreLowerBounds(const SplitBlock &Block,
+                                            uint32_t Budget, double *Lb) {
+  // `fusedOptimalExactGini`'s lower half, Σ_C min(f(lo), f(hi)) with side
+  // budget b = min(n, |side|) and m = |side| − b, and the fused combine
+  // m↓·lb↓ + m¬·lb¬. A side whose budget covers it (m = 0) takes the
+  // reference's n = |T| corner, probabilities [0, 1] and lower bound 0;
+  // dividing by max(m, 1) instead of m gives that side all-zero terms too,
+  // so no branch guards the division.
+  const double N = Budget;
+  blockSideSums(
+      Block,
+      [N](double Count, double Side) {
+        const double B = std::min(N, Side);
+        const double M = Side - B;
+        const double Div = std::max(M, 1.0);
+        const double PLo = std::max(Count - B, 0.0) / Div;
+        const double PHi = std::min(Count, M) / Div;
+        return std::min(PLo * (1.0 - PLo), PHi * (1.0 - PHi));
+      },
+      [N](double Side) { return Side - std::min(N, Side); }, Lb);
 }
 
 Interval antidote::abstractSplitScore(const AbstractDataset &Pos,

@@ -33,6 +33,8 @@
 
 namespace antidote {
 
+class SplitBlock;
+
 /// Which sound `cprob#` transformer to apply (footnote 6).
 enum class CprobTransformerKind : uint8_t {
   Optimal,       ///< Extremal-average closed form (paper's implementation).
@@ -94,6 +96,14 @@ Interval abstractSplitScore(
     uint32_t PosBudget, const std::vector<uint32_t> &NegCounts,
     uint32_t NegTotal, uint32_t NegBudget, CprobTransformerKind Kind,
     GiniLiftingKind Lifting = GiniLiftingKind::ExactTerm);
+
+/// The `score#` lower bound, Optimal × ExactTerm, of every candidate of
+/// \p Block into \p Lb (one per candidate), with side budgets
+/// min(\p Budget, |side|): bit for bit the lower bound `abstractSplitScore`
+/// gives each candidate's sides, computed as straight-line loops over the
+/// whole block.
+void optimalExactScoreLowerBounds(const SplitBlock &Block, uint32_t Budget,
+                                  double *Lb);
 
 /// `score#` over materialized abstract datasets.
 Interval abstractSplitScore(

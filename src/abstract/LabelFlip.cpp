@@ -33,19 +33,69 @@ antidote::flipClassProbabilities(const std::vector<uint32_t> &Counts,
   return Probs;
 }
 
+namespace {
+
+/// Flip `ent#` of one side straight from its counts: `flipClassProbabilities`
+/// composed with the exact-term `abstractGiniImpurity`, fused into one pass
+/// with no interval objects. Every operation is the reference's:
+///  - `max(c − b, 0) / t` equals the guarded `(c − b)/t : 0`, and
+///    `min(c + b, t) / t` the uint64 clamp, since uint32 values, their sums
+///    and their differences are exact in double;
+///  - the term image and the class-order accumulation from 0 are those of
+///    `abstractGiniTermRange` and interval `+`.
+Interval fusedFlipGini(const std::vector<uint32_t> &Counts, uint32_t Total,
+                       uint32_t Budget) {
+  const double T = Total;
+  const double B = Budget;
+  double SumLo = 0.0;
+  double SumHi = 0.0;
+  for (uint32_t Count : Counts) {
+    const double C = Count;
+    const double PLo = std::max(C - B, 0.0) / T;
+    const double PHi = std::min(C + B, T) / T;
+    const double FLo = PLo * (1.0 - PLo);
+    const double FHi = PHi * (1.0 - PHi);
+    SumLo += std::min(FLo, FHi);
+    SumHi += PLo <= 0.5 && 0.5 <= PHi ? 0.25 : std::max(FLo, FHi);
+  }
+  return Interval(SumLo, SumHi);
+}
+
+} // namespace
+
 Interval antidote::flipSplitScore(const std::vector<uint32_t> &PosCounts,
                                   uint32_t PosTotal,
                                   const std::vector<uint32_t> &NegCounts,
                                   uint32_t NegTotal, uint32_t Budget) {
   assert(PosTotal > 0 && NegTotal > 0 && "score of a trivial split");
   // Side sizes are exact under flips; each side can absorb at most
-  // min(n, |side|) of the flipped rows.
-  Interval PosEnt = abstractGiniImpurity(flipClassProbabilities(
-      PosCounts, PosTotal, std::min(Budget, PosTotal)));
-  Interval NegEnt = abstractGiniImpurity(flipClassProbabilities(
-      NegCounts, NegTotal, std::min(Budget, NegTotal)));
-  return Interval(static_cast<double>(PosTotal)) * PosEnt +
-         Interval(static_cast<double>(NegTotal)) * NegEnt;
+  // min(n, |side|) of the flipped rows. Sizes and impurities are
+  // non-negative, so the point-times-interval products reduce to
+  // t·lo / t·hi and the sum is componentwise.
+  const Interval PosEnt =
+      fusedFlipGini(PosCounts, PosTotal, std::min(Budget, PosTotal));
+  const Interval NegEnt =
+      fusedFlipGini(NegCounts, NegTotal, std::min(Budget, NegTotal));
+  const double PosT = PosTotal;
+  const double NegT = NegTotal;
+  return Interval(PosT * PosEnt.lb() + NegT * NegEnt.lb(),
+                  PosT * PosEnt.ub() + NegT * NegEnt.ub());
+}
+
+void antidote::flipSplitScoreLowerBounds(const SplitBlock &Block,
+                                         uint32_t Budget, double *Lb) {
+  // `fusedFlipGini`'s lower half with side budget min(n, |side|), and
+  // `flipSplitScore`'s combine |side↓|·lb↓ + |side¬|·lb¬.
+  const double N = Budget;
+  blockSideSums(
+      Block,
+      [N](double Count, double Side) {
+        const double B = std::min(N, Side);
+        const double PLo = std::max(Count - B, 0.0) / Side;
+        const double PHi = std::min(Count + B, Side) / Side;
+        return std::min(PLo * (1.0 - PLo), PHi * (1.0 - PHi));
+      },
+      [](double Side) { return Side; }, Lb);
 }
 
 std::optional<PredicateSet>
@@ -54,14 +104,20 @@ antidote::flipBestSplit(const SplitContext &Ctx, const AbstractDataset &State,
   // Flips do not move feature values, so every candidate splits every
   // concretization identically: all candidates are universal.
   const uint32_t Budget = State.budget();
-  return selectMinimalSplits(
-      Ctx, State, PredicateMode::ConcreteMidpoint, Meter,
-      [Budget](const std::vector<uint32_t> &PosCounts, uint32_t PosTotal,
-               const std::vector<uint32_t> &NegCounts, uint32_t NegTotal) {
-        return flipSplitScore(PosCounts, PosTotal, NegCounts, NegTotal,
-                              Budget);
-      },
-      [](uint32_t, uint32_t) { return true; });
+  std::vector<uint32_t> PosCounts, NegCounts;
+  SplitScorer Scorer;
+  Scorer.Mode = PredicateMode::ConcreteMidpoint;
+  Scorer.LowerBounds = [Budget](const SplitBlock &Block, double *Lb) {
+    flipSplitScoreLowerBounds(Block, Budget, Lb);
+  };
+  Scorer.UpperBound = [&](const SplitBlock &Block, size_t I) {
+    const uint32_t PosTotal = Block.sideCounts(I, PosCounts, NegCounts);
+    return flipSplitScore(PosCounts, PosTotal, NegCounts,
+                          State.size() - PosTotal, Budget)
+        .ub();
+  };
+  Scorer.IsUniversal = [](uint32_t, uint32_t) { return true; };
+  return selectMinimalSplits(Ctx, State, Scorer, Meter);
 }
 
 LabelFlipResult

@@ -63,10 +63,17 @@ flipClassProbabilities(const std::vector<uint32_t> &Counts, uint32_t Total,
 
 /// Flip-model `score#` of a candidate split (side sizes are exact; only
 /// the per-side class counts are intervals; each side may absorb up to
-/// min(n, |side|) flips).
+/// min(n, |side|) flips). One fused pass per side, bit-identical to
+/// composing `flipClassProbabilities` with `abstractGiniImpurity`.
 Interval flipSplitScore(const std::vector<uint32_t> &PosCounts,
                         uint32_t PosTotal, const std::vector<uint32_t>
                         &NegCounts, uint32_t NegTotal, uint32_t Budget);
+
+/// The flip `score#` lower bound of every candidate of \p Block into
+/// \p Lb (one per candidate): bit for bit `flipSplitScore(...).lb()` of
+/// each candidate's sides, computed as straight-line loops over the block.
+void flipSplitScoreLowerBounds(const SplitBlock &Block, uint32_t Budget,
+                               double *Lb);
 
 /// Flip-model `bestSplit#(⟨T,n⟩)`: `selectMinimalSplits`
 /// (abstract/AbstractBestSplit.h) over the concrete midpoint candidates of

@@ -12,6 +12,13 @@
 using namespace antidote;
 
 void PredicateSet::canonicalize() {
+  // bestSplit# adds its predicates in (feature, lo, hi) order already;
+  // strictly ascending is canonical, so one O(n) check skips the sort.
+  if (std::adjacent_find(Preds.begin(), Preds.end(),
+                         [](const SplitPredicate &A, const SplitPredicate &B) {
+                           return !(A < B);
+                         }) == Preds.end())
+    return;
   std::sort(Preds.begin(), Preds.end());
   Preds.erase(std::unique(Preds.begin(), Preds.end()), Preds.end());
 }

@@ -44,7 +44,8 @@ public:
   /// candidates it kept).
   void reserve(size_t Count) { Preds.reserve(Count); }
 
-  /// Restores the canonical sorted/unique representation after bulk adds.
+  /// Restores the canonical sorted/unique representation after bulk adds;
+  /// O(n) when the adds were already strictly ascending.
   void canonicalize();
 
   const std::vector<SplitPredicate> &predicates() const { return Preds; }

@@ -269,10 +269,11 @@ void NetServer::handleRequest(uint64_t ConnId, Conn &C,
   Options.DeadlineSeconds = Request.DeadlineMillis / 1000.0;
   uint64_t Tag = Request.Tag;
   Options.Completion = [this, ConnId, Tag](const Certificate &Cert) {
-    {
-      std::lock_guard<std::mutex> Guard(CompletionMutex);
-      Completions.push_back(Completion{ConnId, Tag, Cert});
-    }
+    // Signal under the lock: the loop can only drain this completion
+    // after the signal is done, so once the last ticket is drained no
+    // completion still touches `Wake`, and stop() may destroy it.
+    std::lock_guard<std::mutex> Guard(CompletionMutex);
+    Completions.push_back(Completion{ConnId, Tag, Cert});
     Wake.signal();
   };
   uint64_t Ticket = 0;

@@ -18,8 +18,10 @@
 // On iris and mammography every root predicate spawns children. On wdbc
 // and mnist17-binary only a few evenly spaced ones do: wdbc's Ψ holds
 // thousands of predicates at n = 16, and one mnist17-binary bestSplit#
-// costs about 0.1 s under ThreadSanitizer. Each (dataset, n) pair is its
-// own test so the suite can run them side by side.
+// costs about 0.1 s under ThreadSanitizer. mnist17-real, the hard-mnist
+// benchmark's dataset with over 300k candidates per call, pins its root
+// alone at n ∈ {1, 8}. Each (dataset, n) pair is its own test so the suite
+// can run them side by side.
 //
 //===----------------------------------------------------------------------===//
 
@@ -96,7 +98,9 @@ struct GoldenCell {
 };
 
 // Generated from the per-feature scoring loops that preceded the shared
-// Ψ-selection pass; the pass must reproduce them bit for bit.
+// Ψ-selection pass (the mnist17-real rows from the per-candidate scan that
+// preceded the block kernels); the current code must reproduce them bit
+// for bit.
 const GoldenCell Goldens[] = {
     {"iris", 0, RemovalOptimalExact, 9, 0x6baf6bd70e7016e2ull},
     {"iris", 0, RemovalNaiveExact, 9, 0x6baf6bd70e7016e2ull},
@@ -178,15 +182,29 @@ const GoldenCell Goldens[] = {
     {"mnist17-binary", 16, RemovalOptimalNatural, 9, 0xf55bf4c9674531a1ull},
     {"mnist17-binary", 16, Flip, 9, 0xcbd31a841e7e3425ull},
     {"mnist17-binary", 16, Concrete, 9, 0x29e83cd9a298e9b4ull},
+    {"mnist17-real", 1, RemovalOptimalExact, 1, 0x3f43770f178bec0bull},
+    {"mnist17-real", 1, RemovalNaiveExact, 1, 0x31ebdeb58d9ae58cull},
+    {"mnist17-real", 1, RemovalOptimalNatural, 1, 0x9c9747cc75232f45ull},
+    {"mnist17-real", 1, Flip, 1, 0xf2ac7cfb3bf69977ull},
+    {"mnist17-real", 1, Concrete, 1, 0x9623c183a9044b70ull},
+    {"mnist17-real", 8, RemovalOptimalExact, 1, 0xdb5a0f2107e45bd2ull},
+    {"mnist17-real", 8, RemovalNaiveExact, 1, 0x19c805451e079e9aull},
+    {"mnist17-real", 8, RemovalOptimalNatural, 1, 0xdb5a0f2107e45bd2ull},
+    {"mnist17-real", 8, Flip, 1, 0x1f0bb70daf61f3c6ull},
+    {"mnist17-real", 8, Concrete, 1, 0x9623c183a9044b70ull},
 };
 
-/// The root of \p Data at budget \p N followed by its depth-1 children:
-/// both non-empty sides of each of at most \p MaxParents predicates of
-/// each root Ψ, evenly spaced through it (0 = every predicate).
+/// The root of \p Data at budget \p N followed, unless \p RootOnly, by its
+/// depth-1 children: both non-empty sides of each of at most \p MaxParents
+/// predicates of each root Ψ, evenly spaced through it (0 = every
+/// predicate).
 std::vector<AbstractDataset> rootAndChildren(const SplitContext &Ctx,
                                              const Dataset &Data, uint32_t N,
-                                             size_t MaxParents) {
+                                             size_t MaxParents,
+                                             bool RootOnly) {
   std::vector<AbstractDataset> States{AbstractDataset::entire(Data, N)};
+  if (RootOnly)
+    return States;
   const AbstractDataset &Root = States.front();
   PredicateSet Removal =
       *abstractBestSplit(Ctx, Root, CprobTransformerKind::Optimal);
@@ -245,6 +263,7 @@ struct GoldenCase {
   const char *Dataset;
   size_t MaxParents;
   uint32_t Budget;
+  bool RootOnly = false;
 };
 
 void PrintTo(const GoldenCase &Case, std::ostream *OS) {
@@ -263,6 +282,8 @@ std::vector<GoldenCase> goldenCases() {
       Dataset.Budget = N;
       Cases.push_back(Dataset);
     }
+  for (uint32_t N : {1u, 8u})
+    Cases.push_back(GoldenCase{"mnist17-real", 0, N, /*RootOnly=*/true});
   return Cases;
 }
 
@@ -275,7 +296,8 @@ TEST_P(BestSplitGoldenTest, EveryTransformerMatchesItsPinnedDigests) {
   const Dataset &Data = Bench.Split.Train;
   SplitContext Ctx(Data);
   std::vector<AbstractDataset> States =
-      rootAndChildren(Ctx, Data, Case.Budget, Case.MaxParents);
+      rootAndChildren(Ctx, Data, Case.Budget, Case.MaxParents,
+                      Case.RootOnly);
   for (unsigned T = 0; T < NumTransformers; ++T) {
     Fnv1a Cell;
     for (const AbstractDataset &State : States)
