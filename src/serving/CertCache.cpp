@@ -57,21 +57,6 @@ bool CertCache::lookup(const DatasetFingerprint &Data, const float *X,
   return false;
 }
 
-bool CertCache::rangeLookup(const DatasetFingerprint &Data, const float *X,
-                            unsigned NumFeatures, uint32_t PoisoningBudget,
-                            const VerifierConfig &Config, Certificate &Out) {
-  StoreKey K = makeStoreKey(Data, X, NumFeatures, PoisoningBudget, Config);
-  std::lock_guard<std::mutex> Guard(Mutex);
-  const StoreKey *Found = RangeIndex.find(K, PoisoningBudget);
-  if (!Found)
-    return false;
-  auto EIt = Entries.find(*Found);
-  assert(EIt != Entries.end() && "range index out of lockstep");
-  Out = EIt->second.Cert;
-  Out.PoisoningBudget = PoisoningBudget;
-  return true;
-}
-
 void CertCache::store(const DatasetFingerprint &Data, const float *X,
                       unsigned NumFeatures, uint32_t PoisoningBudget,
                       const VerifierConfig &Config, const Certificate &Cert) {

@@ -41,9 +41,9 @@
 ///    whole budget is declined outright). 0 = unbounded, matching the
 ///    "0 disables the cap" convention of the `ResourceLimits` knobs.
 ///  - **Concurrent.** `lookup`/`store` run from batch-pool workers inside
-///    `Verifier::verifyBatch`; one internal mutex serializes them (the
-///    guarded work is a hash probe plus a splice — microseconds against
-///    verification's milliseconds-to-hours).
+///    `Verifier::verifyBatch` and from `CertServer` workers; one internal
+///    mutex serializes them (the guarded work is a hash probe plus a
+///    splice — microseconds against verification's milliseconds-to-hours).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -79,13 +79,6 @@ public:
   void store(const DatasetFingerprint &Data, const float *X,
              unsigned NumFeatures, uint32_t PoisoningBudget,
              const VerifierConfig &Config, const Certificate &Cert) override;
-
-  /// The radius-range probe alone (no exact-key consultation, no LRU
-  /// touch, no counter changes) — the rule `lookup` falls back to on an
-  /// exact miss, exposed for range-machinery introspection.
-  bool rangeLookup(const DatasetFingerprint &Data, const float *X,
-                   unsigned NumFeatures, uint32_t PoisoningBudget,
-                   const VerifierConfig &Config, Certificate &Out) override;
 
   StoreStats stats() const override;
 

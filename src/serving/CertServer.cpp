@@ -15,14 +15,13 @@ using namespace antidote;
 
 CertServer::CertServer(const Dataset &Train, const CertServerConfig &Config)
     : Config(Config), V(Train),
-      BatchPool(makeVerificationPool(Config.Jobs)),
       FrontierPool(makeVerificationPool(Config.Query.FrontierJobs)) {
   // The server owns the long-lived halves of the query config; whatever
   // the caller put there is replaced. The store is taken as configured —
-  // abstract, already composed by the wiring layer.
+  // abstract, already composed by the wiring layer. `Cancel` is set per
+  // request (each verifies under its own token).
   this->Config.Query.FrontierPool = FrontierPool.get();
   this->Config.Query.Cache = Config.Store;
-  this->Config.Query.Cancel = &AbortToken;
   if (Config.Lineage) {
     V.setLineage(*Config.Lineage);
     // The server is the scheduler behind the slack path: slack-served
@@ -34,7 +33,11 @@ CertServer::CertServer(const Dataset &Train, const CertServerConfig &Config)
   ExactQuery = this->Config.Query;
   ExactQuery.DeltaSlack = false;
   ExactQuery.Reverify = nullptr;
-  Dispatcher = std::thread([this] { dispatchLoop(); });
+  ExactQuery.Cancel = &AbortToken;
+  unsigned NumWorkers = resolveJobs(Config.Jobs);
+  Workers.reserve(NumWorkers);
+  for (unsigned I = 0; I < NumWorkers; ++I)
+    Workers.emplace_back([this] { workerLoop(); });
 }
 
 CertServer::~CertServer() { stop(); }
@@ -62,16 +65,16 @@ Certificate CertServer::unverified(VerdictKind Kind,
 
 std::future<Certificate> CertServer::submit(std::vector<float> X,
                                             uint32_t PoisoningBudget) {
-  Request R;
-  R.X = std::move(X);
-  R.PoisoningBudget = PoisoningBudget;
-  return enqueue(std::move(R), nullptr);
+  uint64_t Ticket;
+  return submit(std::move(X), PoisoningBudget, SubmitOptions(), Ticket);
 }
 
 std::future<Certificate> CertServer::submit(std::vector<float> X,
                                             uint32_t PoisoningBudget,
                                             SubmitOptions Options,
                                             uint64_t &TicketOut) {
+  assert(X.size() == V.trainingSet().numFeatures() &&
+         "query arity must match the training set");
   Request R;
   R.X = std::move(X);
   R.PoisoningBudget = PoisoningBudget;
@@ -83,28 +86,18 @@ std::future<Certificate> CertServer::submit(std::vector<float> X,
         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
             std::chrono::duration<double>(Options.DeadlineSeconds));
   }
-  return enqueue(std::move(R), &TicketOut);
-}
-
-std::future<Certificate> CertServer::enqueue(Request R,
-                                             uint64_t *TicketOut) {
-  assert(R.X.size() == V.trainingSet().numFeatures() &&
-         "query arity must match the training set");
   std::future<Certificate> Result = R.Promise.get_future();
   {
     std::lock_guard<std::mutex> Guard(Mutex);
     if (Stopping) {
-      if (TicketOut)
-        *TicketOut = 0; // Nothing to cancel; the answer is already here.
+      TicketOut = 0; // Nothing to cancel; the answer is already here.
       fulfill(R, unverified(VerdictKind::Cancelled, R.PoisoningBudget));
       return Result;
     }
-    if (TicketOut) {
-      R.Ticket = NextTicket++;
-      R.Cancel = std::make_shared<CancellationToken>();
-      LiveTokens.emplace(R.Ticket, R.Cancel);
-      *TicketOut = R.Ticket;
-    }
+    R.Ticket = NextTicket++;
+    R.Cancel = std::make_shared<CancellationToken>();
+    LiveTokens.emplace(R.Ticket, R.Cancel);
+    TicketOut = R.Ticket;
     Queue.push_back(std::move(R));
   }
   QueueChanged.notify_one();
@@ -114,8 +107,7 @@ std::future<Certificate> CertServer::enqueue(Request R,
 bool CertServer::cancelRequest(uint64_t Ticket) {
   if (Ticket == 0)
     return false;
-  Request Cancelled;
-  bool FoundQueued = false;
+  std::optional<Request> Cancelled;
   {
     std::lock_guard<std::mutex> Guard(Mutex);
     // Still queued: release the slot now — admission control upstream
@@ -124,13 +116,12 @@ bool CertServer::cancelRequest(uint64_t Ticket) {
     for (auto It = Queue.begin(); It != Queue.end(); ++It) {
       if (It->Ticket != Ticket)
         continue;
-      Cancelled = std::move(*It);
+      Cancelled.emplace(std::move(*It));
       Queue.erase(It);
       LiveTokens.erase(Ticket);
-      FoundQueued = true;
       break;
     }
-    if (!FoundQueued) {
+    if (!Cancelled) {
       auto It = LiveTokens.find(Ticket);
       if (It == LiveTokens.end())
         return false; // Unknown or already served.
@@ -140,8 +131,8 @@ bool CertServer::cancelRequest(uint64_t Ticket) {
       return true;
     }
   }
-  fulfill(Cancelled,
-          unverified(VerdictKind::Cancelled, Cancelled.PoisoningBudget));
+  fulfill(*Cancelled,
+          unverified(VerdictKind::Cancelled, Cancelled->PoisoningBudget));
   Idle.notify_all(); // A drain may have been waiting on this request.
   return true;
 }
@@ -155,11 +146,10 @@ bool CertServer::probeStore(const float *X, uint32_t PoisoningBudget,
                       PoisoningBudget, Config.Query, Out);
 }
 
-void CertServer::dispatchLoop() {
+void CertServer::workerLoop() {
   for (;;) {
-    std::vector<Request> Batch;
-    BackgroundRequest Reverify;
-    bool RunReverify = false;
+    std::optional<Request> R;
+    std::optional<BackgroundRequest> Reverify;
     {
       std::unique_lock<std::mutex> Lock(Mutex);
       QueueChanged.wait(Lock, [this] {
@@ -172,133 +162,58 @@ void CertServer::dispatchLoop() {
       if (Queue.empty()) {
         // Foreground idle: run one background re-verification, then
         // re-check — a submit during it takes priority next round.
-        Reverify = std::move(BackgroundQueue.front());
+        Reverify.emplace(std::move(BackgroundQueue.front()));
         BackgroundQueue.pop_front();
         ++BackgroundInFlight;
-        RunReverify = true;
       } else {
-        // MaxBatch 0 = unbounded; anything else still takes at least
-        // one request, so the loop always makes progress.
-        size_t Take = Config.MaxBatch
-                          ? std::min(Config.MaxBatch, Queue.size())
-                          : Queue.size();
-        Batch.reserve(Take);
-        for (size_t I = 0; I < Take; ++I) {
-          Batch.push_back(std::move(Queue.front()));
-          Queue.pop_front();
-        }
-        InFlight += Batch.size();
+        R.emplace(std::move(Queue.front()));
+        Queue.pop_front();
+        ++InFlight;
       }
     }
-    if (RunReverify) {
+    if (R) {
+      finish(*R, serve(*R));
+      std::lock_guard<std::mutex> Guard(Mutex);
+      --InFlight;
+    } else {
       // The exact certificate writes through to the store under the
       // child's own fingerprint inside verify (ExactQuery keeps the
       // server's Cache wiring; only the slack path is disarmed).
-      V.verify(Reverify.X.data(), Reverify.PoisoningBudget, ExactQuery);
-      {
-        std::lock_guard<std::mutex> Guard(Mutex);
-        --BackgroundInFlight;
-        ++ReverifiesDone;
-      }
-      Idle.notify_all();
-      continue;
-    }
-    size_t Served = Batch.size();
-    serveBatch(std::move(Batch));
-    {
+      V.verify(Reverify->X.data(), Reverify->PoisoningBudget, ExactQuery);
       std::lock_guard<std::mutex> Guard(Mutex);
-      InFlight -= Served;
+      --BackgroundInFlight;
+      ++ReverifiesDone;
     }
     Idle.notify_all();
   }
 }
 
+Certificate CertServer::serve(const Request &R) const {
+  // An expired request answers Timeout without consuming a verification
+  // (sound: Timeout claims nothing).
+  auto Now = std::chrono::steady_clock::now();
+  if (R.HasDeadline && R.Deadline <= Now)
+    return unverified(VerdictKind::Timeout, R.PoisoningBudget);
+  // Each request verifies under its own token and its own deadline-
+  // clamped limits, so one client's cancellation or deadline never stops
+  // a neighbour's identical query. Store lookups and write-throughs
+  // happen inside verify: a hit costs one store probe on this worker.
+  VerifierConfig C = Config.Query;
+  C.Cancel = R.Cancel.get();
+  if (R.HasDeadline) {
+    double Remaining = std::chrono::duration<double>(R.Deadline - Now).count();
+    double &Timeout = C.Limits.TimeoutSeconds;
+    Timeout = Timeout > 0 ? std::min(Timeout, Remaining) : Remaining;
+  }
+  return V.verify(R.X.data(), R.PoisoningBudget, C);
+}
+
 void CertServer::finish(Request &R, const Certificate &Cert) {
-  if (R.Ticket) {
+  {
     std::lock_guard<std::mutex> Guard(Mutex);
     LiveTokens.erase(R.Ticket);
   }
   fulfill(R, Cert);
-}
-
-void CertServer::serveBatch(std::vector<Request> Batch) {
-  // Group by poisoning budget (verifyBatch verifies one n per call)
-  // while preserving submission order within each group. Serving traffic
-  // overwhelmingly shares one n, so this is almost always a single
-  // verifyBatch spanning the whole batch.
-  std::vector<size_t> Order(Batch.size());
-  for (size_t I = 0; I < Batch.size(); ++I)
-    Order[I] = I;
-  std::stable_sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
-    return Batch[A].PoisoningBudget < Batch[B].PoisoningBudget;
-  });
-
-  size_t GroupStart = 0;
-  while (GroupStart < Order.size()) {
-    size_t GroupEnd = GroupStart;
-    uint32_t N = Batch[Order[GroupStart]].PoisoningBudget;
-    while (GroupEnd < Order.size() &&
-           Batch[Order[GroupEnd]].PoisoningBudget == N)
-      ++GroupEnd;
-
-    bool AnyTicketed = false;
-    for (size_t I = GroupStart; I < GroupEnd; ++I)
-      if (Batch[Order[I]].Ticket || Batch[Order[I]].HasDeadline)
-        AnyTicketed = true;
-
-    if (AnyTicketed) {
-      // Per-request path: each request verifies under its own token and
-      // its own deadline-clamped limits, so one client's cancellation
-      // or deadline never stops a neighbour's identical query. Expired
-      // requests answer Timeout here without consuming a verification
-      // (sound: Timeout claims nothing).
-      auto Now = std::chrono::steady_clock::now();
-      std::vector<size_t> Live;       // Indices into Batch.
-      std::vector<VerifierConfig> Configs;
-      for (size_t I = GroupStart; I < GroupEnd; ++I) {
-        Request &R = Batch[Order[I]];
-        if (R.HasDeadline && R.Deadline <= Now) {
-          finish(R, unverified(VerdictKind::Timeout, N));
-          continue;
-        }
-        VerifierConfig C = Config.Query;
-        if (R.Cancel)
-          C.Cancel = R.Cancel.get();
-        if (R.HasDeadline) {
-          double Remaining =
-              std::chrono::duration<double>(R.Deadline - Now).count();
-          C.Limits.TimeoutSeconds =
-              C.Limits.TimeoutSeconds > 0
-                  ? std::min(C.Limits.TimeoutSeconds, Remaining)
-                  : Remaining;
-        }
-        Live.push_back(Order[I]);
-        Configs.push_back(std::move(C));
-      }
-      std::vector<Certificate> Certs(Live.size());
-      parallelFor(BatchPool.get(), Live.size(), [&](size_t J) {
-        Request &R = Batch[Live[J]];
-        Certs[J] = V.verify(R.X.data(), R.PoisoningBudget, Configs[J]);
-      });
-      for (size_t J = 0; J < Live.size(); ++J)
-        finish(Batch[Live[J]], Certs[J]);
-    } else {
-      std::vector<const float *> Inputs;
-      Inputs.reserve(GroupEnd - GroupStart);
-      for (size_t I = GroupStart; I < GroupEnd; ++I)
-        Inputs.push_back(Batch[Order[I]].X.data());
-
-      // Cache lookups/stores happen per query on the batch-pool workers,
-      // inside Verifier::verify — hits cost a hash probe, misses verify
-      // and seed the cache for the next repeat.
-      std::vector<Certificate> Certs =
-          V.verifyBatch(Inputs, N, Config.Query, BatchPool.get());
-      for (size_t I = GroupStart; I < GroupEnd; ++I)
-        fulfill(Batch[Order[I]], Certs[I - GroupStart]);
-    }
-
-    GroupStart = GroupEnd;
-  }
 }
 
 void CertServer::scheduleReverify(const float *X, unsigned NumFeatures,
@@ -310,7 +225,7 @@ void CertServer::scheduleReverify(const float *X, unsigned NumFeatures,
     std::lock_guard<std::mutex> Guard(Mutex);
     if (Stopping)
       return; // Best-effort by contract; a shutdown drops the request.
-    // Coalesce bit-identical duplicates: a batch of repeats of one
+    // Coalesce bit-identical duplicates: a burst of repeats of one
     // slack-served query needs one re-verification, not many.
     for (const BackgroundRequest &Queued : BackgroundQueue)
       if (Queued.PoisoningBudget == PoisoningBudget &&
@@ -352,25 +267,26 @@ void CertServer::drainBackground() {
 }
 
 void CertServer::stop() {
-  std::thread ToJoin;
+  std::vector<std::thread> ToJoin;
   {
     std::lock_guard<std::mutex> Guard(Mutex);
     Stopping = true;
-    ToJoin = std::move(Dispatcher); // Empty on every stop after the first.
+    ToJoin.swap(Workers); // Empty on every stop after the first.
   }
   QueueChanged.notify_all();
-  if (ToJoin.joinable())
-    ToJoin.join(); // The loop exits only once the queue is empty.
+  for (std::thread &Worker : ToJoin)
+    Worker.join(); // Each exits only once the queue is empty.
 }
 
 void CertServer::abort() {
   // Cancel first so the drain inside stop() is cheap: every queued or
-  // in-flight verification observes the token and reports Cancelled
-  // instead of running to completion. Ticketed requests verify under
-  // their own tokens, not AbortToken, so those are cancelled too.
+  // in-flight verification observes its token and reports Cancelled
+  // instead of running to completion. Stopping is raised under the same
+  // lock, so no request accepted later escapes with a live token.
   AbortToken.cancel();
   {
     std::lock_guard<std::mutex> Guard(Mutex);
+    Stopping = true;
     for (auto &Entry : LiveTokens)
       Entry.second->cancel();
   }

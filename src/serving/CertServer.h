@@ -8,9 +8,9 @@
 /// \file
 /// The long-lived serving subsystem the ROADMAP's north star asks for:
 /// one warm `Verifier` (per-dataset acceleration structures built once),
-/// one shared batch `ThreadPool`, one shared in-query frontier/split pool,
-/// and one `CertificateStore`, behind a request queue so many clients can
-/// stream queries at a single process. The server is deliberately
+/// `Jobs` worker threads, one shared in-query frontier pool, and one
+/// `CertificateStore`, behind a request queue so many clients can stream
+/// queries at a single process. The server is deliberately
 /// store-agnostic: it holds exactly one abstract `CertificateStore`
 /// pointer and never names a concrete tier — the wiring layer composes
 /// whatever it wants (a RAM `CertCache`, a `DiskCertStore`, both behind
@@ -18,23 +18,22 @@
 ///
 /// Request path:
 ///
-///   submit(x, n) ──▶ queue ──▶ dispatcher thread ──▶ batcher
-///        │                        (groups up to MaxBatch pending
-///        │                         requests by poisoning budget n)
-///        │                                 │
-///        ▼                                 ▼
-///   std::future ◀── promise ◀── Verifier::verifyBatch on the batch
-///                               pool; each query consults/feeds the
-///                               CertCache from its worker thread
+///   submit(x, n) ──▶ FIFO queue ──▶ worker 1 .. Jobs
+///        │                            each pops one request: expired
+///        │                            deadline → Timeout, otherwise
+///        │                            Verifier::verify under the
+///        │                            request's own token and limits
+///        ▼                                     │
+///   std::future ◀── promise (+ Completion) ◀───┘  at once, per request
 ///
-/// The batcher exists for the same reason `verifyBatch` does: queries
-/// are independent, so folding whatever has queued up while the previous
-/// batch ran into one fan-out keeps every pool worker busy without any
-/// per-query thread churn. Caching happens *inside* `Verifier::verify`
+/// Queries are independent (each `DTrace#` run stands alone), so a worker
+/// serves one request and fulfills it immediately: a store hit is never
+/// held behind a slow miss. Caching happens *inside* `Verifier::verify`
 /// (the store is wired into the server's `VerifierConfig`), so a repeated
 /// query costs one store probe on a worker instead of a verification, and
 /// the served certificate is byte-identical to the fresh one that seeded
-/// the entry (see serving/CertCache.h for the invariants).
+/// the entry (see serving/CertCache.h for the invariants). With
+/// `Jobs = 1` requests are served strictly in submission order.
 ///
 /// Shutdown: `stop()` (and the destructor) waits for the queue to drain —
 /// every accepted future is always fulfilled. Submissions after `stop`
@@ -47,8 +46,8 @@
 /// answer a query from the *parent's* stored certificate (sound but
 /// wider than necessary; see data/Fingerprint.h `DatasetLineage`). The
 /// server is the `ReverifyScheduler` behind that path: each slack-served
-/// query is queued for an exact re-verification that the dispatcher runs
-/// only when the foreground queue is empty — foreground latency is never
+/// query is queued for an exact re-verification that a worker runs only
+/// when the foreground queue is empty — foreground latency is never
 /// taxed — with the slack path disarmed (`DeltaSlack` off), so the fresh
 /// certificate is computed for real and written through under the
 /// child's own fingerprint. Duplicate requests are coalesced while
@@ -81,20 +80,14 @@ namespace antidote {
 struct CertServerConfig {
   /// Per-query verification parameters, shared by every request: depth,
   /// domain, per-query `Limits`, and the in-query FrontierJobs knob.
-  /// `FrontierPool`, `Cache`, and `Cancel` are overwritten by the server
-  /// with its own long-lived instances (`Cancel` is the `abort()` lever).
+  /// `FrontierPool` and `Cache` are overwritten by the server with its
+  /// own long-lived instances; `Cancel` is replaced per request by the
+  /// request's own token (the lever of `cancelRequest` and `abort()`).
   VerifierConfig Query;
 
-  /// Worker threads for the batch fan-out across queued requests
-  /// (0 = one per hardware thread, 1 = the dispatcher thread alone).
+  /// Worker threads, each serving one queued request at a time
+  /// (`resolveJobs`: 0 = one per hardware thread, clamped to 16x).
   unsigned Jobs = 0;
-
-  /// Most requests one dispatch folds into a single `verifyBatch`. Keeps
-  /// tail latency bounded under a flood: a huge backlog is served as
-  /// several batches, each completing (and fulfilling its futures) on
-  /// its own. 0 = unbounded (one batch per backlog), matching the
-  /// codebase's "0 disables the cap" convention.
-  size_t MaxBatch = 64;
 
   /// The certificate store every verification consults and feeds —
   /// externally owned (it may outlive the server or be shared by
@@ -118,13 +111,13 @@ struct CertServerConfig {
 ///
 /// Thread-safety: `submit`, `probeStore`, and `pendingRequests` may be
 /// called from any number of client threads. The returned future is
-/// fulfilled by the dispatcher (or a batch-pool worker's result folded by
-/// it); `get()` blocks until then.
+/// fulfilled by the worker that served the request; `get()` blocks until
+/// then.
 class CertServer : private ReverifyScheduler {
 public:
   CertServer(const Dataset &Train, const CertServerConfig &Config);
 
-  /// Stops accepting, drains the queue, joins the dispatcher.
+  /// Stops accepting, drains the queue, joins the workers.
   ~CertServer();
 
   CertServer(const CertServer &) = delete;
@@ -138,22 +131,27 @@ public:
     /// server-wide `Limits.TimeoutSeconds`, which a `ResourceMeter`
     /// only starts once verification begins. A request still queued
     /// when its deadline passes is answered `Timeout` without
-    /// verifying; one dispatched in time verifies under
+    /// verifying; one a worker takes in time verifies under
     /// min(server timeout, remaining deadline). <= 0 = no deadline.
     double DeadlineSeconds = 0.0;
 
-    /// Called from the serving thread immediately after the future is
-    /// fulfilled, with the same certificate — the completion signal
-    /// for event-loop callers that cannot block on futures. Must not
-    /// block; must not call back into this server's submit/cancel
-    /// paths synchronously with anything that would deadlock (pushing
-    /// onto an external queue and signalling an eventfd is the
-    /// intended shape — see serving/NetServer.cpp). Invoked exactly
-    /// once for every accepted request, whatever its outcome.
+    /// Called immediately after the future is fulfilled, with the same
+    /// certificate — the completion signal for event-loop callers that
+    /// cannot block on futures. It runs on the worker that served the
+    /// request (or, for a request refused or cancelled while queued, on
+    /// the thread that called `submit` or `cancelRequest`), so with
+    /// `Jobs > 1` callbacks may run concurrently with each other and
+    /// must be thread-safe. Must not block; must not call back into this
+    /// server's submit/cancel paths synchronously with anything that
+    /// would deadlock (pushing onto an external queue and signalling an
+    /// eventfd is the intended shape — see serving/NetServer.cpp).
+    /// Invoked exactly once for every accepted request, whatever its
+    /// outcome.
     std::function<void(const Certificate &)> Completion;
   };
 
-  /// Enqueues one query. \p X must hold exactly
+  /// Enqueues one query: the ticketed overload with default options and
+  /// the ticket dropped. \p X must hold exactly
   /// `verifier().trainingSet().numFeatures()` values (the CLI front end
   /// validates before submitting; this is the programmatic API's
   /// contract). The future is always eventually fulfilled.
@@ -161,10 +159,10 @@ public:
                                   uint32_t PoisoningBudget);
 
   /// The ticketed overload: like `submit`, plus per-request deadline
-  /// and completion callback, and a ticket (never 0) for
-  /// `cancelRequest`. Each ticketed request verifies under its own
-  /// `CancellationToken`, so one client's cancellation never stops a
-  /// neighbour's identical query.
+  /// and completion callback, and a ticket (never 0; 0 when the server
+  /// already stopped) for `cancelRequest`. Every request verifies under
+  /// its own `CancellationToken`, so one client's cancellation never
+  /// stops a neighbour's identical query.
   std::future<Certificate> submit(std::vector<float> X,
                                   uint32_t PoisoningBudget,
                                   SubmitOptions Options,
@@ -203,7 +201,7 @@ public:
   /// `CertificateStore::replication`.
   CertificateStore *store() const { return Config.Store; }
 
-  /// Requests not yet handed to a batch (for monitoring/backpressure).
+  /// Requests queued or being served (for monitoring/backpressure).
   size_t pendingRequests() const;
 
   /// Background re-verifications queued or running (monitoring).
@@ -221,7 +219,7 @@ public:
   void drainBackground();
 
   /// Stops accepting new work, serves everything already queued, joins
-  /// the dispatcher. Idempotent; the destructor calls it.
+  /// the workers. Idempotent; the destructor calls it.
   void stop();
 
   /// `stop()` for error paths that must exit promptly: additionally
@@ -238,8 +236,7 @@ private:
     uint32_t PoisoningBudget = 0;
     std::promise<Certificate> Promise;
 
-    /// Ticketed-submit extras; defaulted (inert) for the plain path.
-    uint64_t Ticket = 0; ///< 0 = not cancellable.
+    uint64_t Ticket = 0; ///< Set on acceptance; never 0 once queued.
     bool HasDeadline = false;
     std::chrono::steady_clock::time_point Deadline{};
     /// Per-request cancellation, shared with `LiveTokens` so
@@ -258,13 +255,13 @@ private:
   /// \p PoisoningBudget under the server's query config.
   Certificate unverified(VerdictKind Kind, uint32_t PoisoningBudget) const;
 
-  /// Shared enqueue tail of both submit overloads. \p TicketOut non-null
-  /// marks the request ticketed: it gets a ticket, its own cancellation
-  /// token, and a `LiveTokens` entry.
-  std::future<Certificate> enqueue(Request R, uint64_t *TicketOut);
+  /// The certificate for one request a worker took off the queue:
+  /// `Timeout` when its deadline already passed, otherwise a verification
+  /// under its own token and deadline-clamped limits.
+  Certificate serve(const Request &R) const;
 
-  /// Fulfills a request leaving `serveBatch` and drops its
-  /// `LiveTokens` entry (after which `cancelRequest` returns false).
+  /// Drops a served request's `LiveTokens` entry (after which
+  /// `cancelRequest` returns false), then fulfills it.
   void finish(Request &R, const Certificate &Cert);
 
   /// A slack-served query awaiting its exact background re-verification.
@@ -273,12 +270,14 @@ private:
     uint32_t PoisoningBudget = 0;
   };
 
-  void dispatchLoop();
-  void serveBatch(std::vector<Request> Batch);
+  /// One worker's life: pop a request and serve it, or, while the queue
+  /// is empty, run one background re-verification; exit once stopping
+  /// and the queue is drained.
+  void workerLoop();
 
-  /// ReverifyScheduler: called by the slack path from batch-pool
-  /// workers; enqueues (coalescing bit-identical duplicates) for the
-  /// dispatcher to run when the foreground is idle.
+  /// ReverifyScheduler: called by the slack path from the workers;
+  /// enqueues (coalescing bit-identical duplicates) for a worker to run
+  /// when the foreground is idle.
   void scheduleReverify(const float *X, unsigned NumFeatures,
                         uint32_t PoisoningBudget) override;
 
@@ -288,9 +287,9 @@ private:
   /// no scheduler): the background re-verification config — it must
   /// verify for real, never serve itself from the parent certificate.
   VerifierConfig ExactQuery;
-  std::unique_ptr<ThreadPool> BatchPool;
   std::unique_ptr<ThreadPool> FrontierPool;
-  CancellationToken AbortToken; ///< Cancelled by `abort()` only.
+  /// Cancelled by `abort()`; the background re-verifications' token.
+  CancellationToken AbortToken;
 
   mutable std::mutex Mutex;
   std::condition_variable QueueChanged; ///< Signalled on submit/stop.
@@ -298,21 +297,19 @@ private:
   std::deque<Request> Queue;
   size_t InFlight = 0; ///< Requests taken off the queue, not yet served.
   uint64_t NextTicket = 1; ///< Ticket source; 0 is reserved for "none".
-  /// Every accepted-but-unserved ticketed request's token, queued or
-  /// in-flight, so `cancelRequest` (after the request left the queue)
-  /// and `abort` (which must reach per-request tokens — ticketed
-  /// verifications run under their own token, not `AbortToken`) can
-  /// cancel them. Erased when the request is fulfilled.
+  /// Every accepted-but-unserved request's token, queued or in-flight,
+  /// so `cancelRequest` (after the request left the queue) and `abort`
+  /// can cancel them. Erased when the request is fulfilled.
   std::unordered_map<uint64_t, std::shared_ptr<CancellationToken>>
       LiveTokens;
-  /// Exact re-verifications of slack-served queries; the dispatcher
-  /// drains it only while `Queue` is empty. Pending entries are dropped
+  /// Exact re-verifications of slack-served queries; the workers drain
+  /// it only while `Queue` is empty. Pending entries are dropped
   /// on `stop()` (they are an optimization, not owed work).
   std::deque<BackgroundRequest> BackgroundQueue;
   size_t BackgroundInFlight = 0;
   uint64_t ReverifiesDone = 0;
   bool Stopping = false;
-  std::thread Dispatcher;
+  std::vector<std::thread> Workers;
 };
 
 } // namespace antidote

@@ -20,7 +20,8 @@
 ///    verify — the admission-control shed path's question ("can I serve
 ///    this for free?").
 ///  - `rangeLookup`: the radius-range rule alone, exact matches
-///    excluded — for introspection and tests of the range machinery.
+///    excluded — a hook for instrumenting wrappers; no in-tree store
+///    answers it.
 ///  - `stats()`: one shared `StoreStats` counter struct; every
 ///    front-end stats line is rendered by `StoreStats::summary()`, so a
 ///    new counter surfaces in every CLI and CI grep at once.
@@ -212,8 +213,10 @@ public:
   }
 
   /// The radius-range rule alone: serve (or not) strictly from a proof
-  /// at a *different* radius, never from an exact-key entry. Stores
-  /// without a range index answer false.
+  /// at a *different* radius, never from an exact-key entry. No in-tree
+  /// store answers it (each applies the rule inside `lookup`), so the
+  /// default answers false; it stays as a hook for wrapping stores that
+  /// instrument the range path.
   virtual bool rangeLookup(const DatasetFingerprint &Data, const float *X,
                            unsigned NumFeatures, uint32_t PoisoningBudget,
                            const VerifierConfig &Config, Certificate &Out) {

@@ -777,12 +777,12 @@ void DiskCertStore::dropDeadEntryLocked(
 }
 
 bool DiskCertStore::lookupLocked(const StoreKey &K, uint32_t PoisoningBudget,
-                                 bool RangeOnly, Certificate &Out) {
-  auto It = RangeOnly ? Index.end() : Index.find(K);
+                                 Certificate &Out) {
+  auto It = Index.find(K);
   bool Ranged = false;
   if (It == Index.end()) {
-    // Exact miss (or range-only probe): radius-range resolution, the
-    // same rule as the RAM tier's (serving/StoreKey.h `RadiusIndex`).
+    // Exact miss: radius-range resolution, the same rule as the RAM
+    // tier's (serving/StoreKey.h `RadiusIndex`).
     if (const StoreKey *Found = RangeIndex.find(K, PoisoningBudget)) {
       It = Index.find(*Found);
       assert(It != Index.end() && "range index out of lockstep");
@@ -813,13 +813,12 @@ bool DiskCertStore::lookupLocked(const StoreKey &K, uint32_t PoisoningBudget,
     return false;
   }
   if (Ranged) {
-    if (!RangeOnly)
-      ++Stats.RangeHits;
+    ++Stats.RangeHits;
     // The stored proof keeps its radius; only the answered budget is
     // rewritten (CertificateStore range contract,
     // serving/CertificateStore.h).
     Cert.PoisoningBudget = PoisoningBudget;
-  } else if (!RangeOnly) {
+  } else {
     ++Stats.Hits;
   }
   Out = Cert;
@@ -832,7 +831,7 @@ bool DiskCertStore::lookup(const DatasetFingerprint &Data, const float *X,
   StoreKey K = makeStoreKey(Data, X, NumFeatures, PoisoningBudget, Config);
   std::lock_guard<std::mutex> Guard(Mutex);
   for (int Pass = 0; Pass < 2; ++Pass) {
-    if (lookupLocked(K, PoisoningBudget, /*RangeOnly=*/false, Out))
+    if (lookupLocked(K, PoisoningBudget, Out))
       return true;
     // A miss may just mean a sibling process appended (or compacted)
     // since we last looked: one journal-header pread tells, a refresh
@@ -842,15 +841,6 @@ bool DiskCertStore::lookup(const DatasetFingerprint &Data, const float *X,
   }
   ++Stats.Misses;
   return false;
-}
-
-bool DiskCertStore::rangeLookup(const DatasetFingerprint &Data, const float *X,
-                                unsigned NumFeatures, uint32_t PoisoningBudget,
-                                const VerifierConfig &Config,
-                                Certificate &Out) {
-  StoreKey K = makeStoreKey(Data, X, NumFeatures, PoisoningBudget, Config);
-  std::lock_guard<std::mutex> Guard(Mutex);
-  return lookupLocked(K, PoisoningBudget, /*RangeOnly=*/true, Out);
 }
 
 DiskCertStore::ApplyResult

@@ -203,13 +203,6 @@ public:
              unsigned NumFeatures, uint32_t PoisoningBudget,
              const VerifierConfig &Config, const Certificate &Cert) override;
 
-  /// The radius-range probe alone, mirroring `CertCache::rangeLookup`:
-  /// no exact-key consultation and no hit/miss counter changes (though
-  /// a record whose bytes rotted is still dropped on discovery).
-  bool rangeLookup(const DatasetFingerprint &Data, const float *X,
-                   unsigned NumFeatures, uint32_t PoisoningBudget,
-                   const VerifierConfig &Config, Certificate &Out) override;
-
   StoreStats stats() const override;
 
   /// The disk tier *is* the replication endpoint.
@@ -366,10 +359,10 @@ private:
   void dropDeadEntryLocked(
       std::unordered_map<StoreKey, RecordRef, StoreKeyHash>::iterator It);
 
-  /// The shared exact-miss range probe + payload load behind `lookup`
-  /// and `rangeLookup`; caller holds the mutex.
+  /// One pass of `lookup`: the exact key, else the radius-range probe,
+  /// then the payload load and re-verification; caller holds the mutex.
   bool lookupLocked(const StoreKey &K, uint32_t PoisoningBudget,
-                    bool RangeOnly, Certificate &Out);
+                    Certificate &Out);
 
   const std::string Dir;
   const DiskCertStoreOptions Options;

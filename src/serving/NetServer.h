@@ -11,7 +11,7 @@
 /// `CertServer`, speaking the length-prefixed protocol of
 /// serving/NetProtocol.h. The loop never verifies anything itself — it
 /// frames, admits, submits, and writes back; all verification runs on
-/// the CertServer's pools.
+/// the CertServer's workers.
 ///
 ///   clients ──▶ epoll loop ──▶ admission control ──▶ CertServer::submit
 ///                  ▲                  │                  (ticketed)
@@ -19,7 +19,10 @@
 ///                  │                  │   probe; hit ⇒ Ok/ShedProbe,
 ///                  │                  │   miss ⇒ explicit Shed
 ///                  │                  ▼
-///               WakeFd ◀── completion callback (serving thread)
+///                  │           CertServer queue ──▶ worker 1 .. Jobs
+///                  │                                  │ one request each
+///               WakeFd ◀── completion callback ◀──────┘ (on the worker;
+///                          callbacks may run concurrently)
 ///
 /// ## Admission control
 ///
@@ -173,8 +176,8 @@ private:
           Tokens(Burst), LastRefill(Now) {}
   };
 
-  /// One fulfilled verification travelling from the CertServer's
-  /// serving thread back to the loop.
+  /// One fulfilled verification travelling from the CertServer worker
+  /// that served it back to the loop.
   struct Completion {
     uint64_t ConnId = 0;
     uint64_t Tag = 0;

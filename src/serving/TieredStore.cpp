@@ -56,17 +56,6 @@ bool TieredStore::probe(const DatasetFingerprint &Data, const float *X,
          Disk->probe(Data, X, NumFeatures, PoisoningBudget, Config, Out);
 }
 
-bool TieredStore::rangeLookup(const DatasetFingerprint &Data, const float *X,
-                              unsigned NumFeatures, uint32_t PoisoningBudget,
-                              const VerifierConfig &Config,
-                              Certificate &Out) {
-  if (Ram && Ram->rangeLookup(Data, X, NumFeatures, PoisoningBudget, Config,
-                              Out))
-    return true;
-  return Disk && Disk->rangeLookup(Data, X, NumFeatures, PoisoningBudget,
-                                   Config, Out);
-}
-
 StoreStats TieredStore::stats() const {
   StoreStats Stats;
   Stats.RamHits = RamHits.load(std::memory_order_relaxed);

@@ -78,10 +78,6 @@ public:
              unsigned NumFeatures, uint32_t PoisoningBudget,
              const VerifierConfig &Config, Certificate &Out) override;
 
-  bool rangeLookup(const DatasetFingerprint &Data, const float *X,
-                   unsigned NumFeatures, uint32_t PoisoningBudget,
-                   const VerifierConfig &Config, Certificate &Out) override;
-
   /// The tier-crossing counters (`RamHits`/`DiskHits`/`Misses`); each
   /// tier keeps its own full stats behind its own handle.
   StoreStats stats() const override;

@@ -295,11 +295,14 @@ void OrderedFanout::cancelRemaining() {
   S->HorizonAdvanced.notify_all();
 }
 
+unsigned antidote::resolveJobs(unsigned Jobs) {
+  unsigned Hardware = ThreadPool::hardwareConcurrency();
+  return Jobs == 0 ? Hardware : std::min(Jobs, 16u * Hardware);
+}
+
 std::unique_ptr<ThreadPool> antidote::makeVerificationPool(unsigned Jobs) {
-  if (Jobs == 0)
-    Jobs = ThreadPool::hardwareConcurrency();
-  Jobs = std::min(Jobs, 16u * ThreadPool::hardwareConcurrency());
-  if (Jobs <= 1)
+  Jobs = resolveJobs(Jobs);
+  if (Jobs == 1)
     return nullptr;
   return std::make_unique<ThreadPool>(Jobs - 1);
 }

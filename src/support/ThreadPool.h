@@ -162,11 +162,14 @@ private:
   std::shared_ptr<State> S;
 };
 
-/// The one policy for turning a user-facing Jobs knob into a pool:
-/// 0 means one executor per hardware thread, requests are clamped to 16x
-/// the hardware threads (guarding against wrapped/absurd values), and the
-/// pool gets Jobs-1 workers because the calling thread participates in
-/// `parallelFor`. Returns null for Jobs == 1 (strictly serial).
+/// The one policy for a user-facing Jobs knob: 0 means one executor per
+/// hardware thread, and requests are clamped to 16x the hardware threads
+/// (guarding against wrapped/absurd values). The result is at least 1.
+unsigned resolveJobs(unsigned Jobs);
+
+/// A pool for `resolveJobs(Jobs)` executors: it gets one worker fewer,
+/// because the calling thread participates in `parallelFor`. Returns
+/// null when that leaves no worker (strictly serial).
 std::unique_ptr<ThreadPool> makeVerificationPool(unsigned Jobs);
 
 } // namespace antidote

@@ -5,14 +5,16 @@
 //
 // The serving loop end to end: queued requests come back correct and in
 // submission correspondence, repeated traffic hits the cache, mixed
-// poisoning budgets batch correctly, shutdown drains, and many client
-// threads can hammer one server (the TSan CI job runs this suite).
+// poisoning budgets are each answered at their own n, a hit is never held
+// behind a miss, shutdown drains, and many client threads can hammer one
+// server (the TSan CI job runs this suite).
 //
 //===----------------------------------------------------------------------===//
 
 #include "serving/CertServer.h"
 
 #include "serving/CertCache.h"
+#include "serving/TieredStore.h"
 
 #include "NetHarness.h"
 #include "TestUtil.h"
@@ -21,6 +23,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <thread>
 
 using namespace antidote;
@@ -163,25 +166,6 @@ TEST(CertServerTest, SubmitAfterStopIsRefusedAsCancelled) {
   Server.stop();
 }
 
-TEST(CertServerTest, UnboundedMaxBatchStillMakesProgress) {
-  // MaxBatch 0 = unbounded (the codebase's "0 disables the cap"
-  // convention) — one dispatch takes the whole backlog; it must never
-  // degenerate into an empty-batch spin that starves the futures.
-  Dataset Train = figure2Dataset();
-  CertServerConfig Config = smallConfig();
-  Config.MaxBatch = 0;
-  CertServer Server(Train, Config);
-  std::vector<std::future<Certificate>> Futures;
-  for (int I = 0; I < 8; ++I)
-    Futures.push_back(Server.submit(point(0.5f + I), 1));
-  for (auto &F : Futures)
-    F.get();
-  // Promises resolve inside the dispatch, before the dispatcher books
-  // the batch as finished — drain for the bookkeeping to settle.
-  Server.drain();
-  EXPECT_EQ(Server.pendingRequests(), 0u);
-}
-
 TEST(CertServerTest, AbortResolvesEveryFutureWithoutFullVerification) {
   Dataset Train = figure2Dataset();
   CertServer Server(Train, smallConfig());
@@ -207,12 +191,11 @@ TEST(CertServerTest, ManyClientThreadsOneServer) {
   Dataset Train = figure2Dataset();
   CertCache Cache(/*MaxBytes=*/0);
   CertServerConfig Config = smallConfig();
-  Config.MaxBatch = 4; // Several dispatch rounds, not one mega-batch.
   Config.Store = &Cache;
   CertServer Server(Train, Config);
 
   // 4 client threads x 12 queries over 6 distinct points: submissions,
-  // batch workers, and cache accesses all interleave. Every future must
+  // server workers, and cache accesses all interleave. Every future must
   // resolve to the right verdict for its point.
   constexpr int NumClients = 4, PerClient = 12;
   std::vector<std::thread> Clients;
@@ -255,11 +238,11 @@ TEST(CertServerTest, ManyClientThreadsOneServer) {
 
 namespace {
 
-/// smallConfig() with \p Gate as the backing store and one-request
-/// batches, so one pinned verification occupies exactly one dispatch.
+/// smallConfig() with \p Gate as the backing store and one worker, so one
+/// pinned verification occupies the whole server.
 CertServerConfig gatedConfig(testharness::GateStore &Gate) {
   CertServerConfig Config = smallConfig();
-  Config.MaxBatch = 1;
+  Config.Jobs = 1;
   Config.Store = &Gate;
   return Config;
 }
@@ -271,7 +254,7 @@ TEST(CertServerTest, CancelQueuedRequestReleasesItsSlotImmediately) {
   testharness::GateStore Gate;
   CertServer Server(Train, gatedConfig(Gate));
 
-  // A blocker pins the dispatcher inside the gate; two more queue.
+  // A blocker pins the one worker inside the gate; two more queue.
   Gate.close();
   CertServer::SubmitOptions None;
   uint64_t BlockerTicket = 0, T1 = 0, T2 = 0;
@@ -321,8 +304,8 @@ TEST(CertServerTest, CompletionCallbackFiresExactlyOncePerRequest) {
   std::future<Certificate> F = Server.submit(point(9.5f), 2, Options, Ticket);
   EXPECT_NE(Ticket, 0u);
   F.get();
-  // The callback runs right after fulfillment, before the dispatcher
-  // books the batch as done — drain orders us after both.
+  // The callback runs right after fulfillment, before the worker books
+  // the request as done — drain orders us after both.
   Server.drain();
   EXPECT_EQ(Calls.load(), 1);
 
@@ -411,4 +394,74 @@ TEST(CertServerTest, DeadlineExpiredWhileQueuedAnswersTimeout) {
   // deadline this time) verifies for real.
   EXPECT_NE(Server.submit(point(21.0f), 3).get().Kind,
             VerdictKind::Timeout);
+}
+
+TEST(CertServerTest, HitIsServedWhileAnotherWorkerWaitsOnAMiss) {
+  // Two workers over RAM in front of the gate: a fresh query pins one
+  // worker in its disk write-through, and a warm repeat must still be
+  // answered from RAM by the other — never held until the miss is done.
+  Dataset Train = figure2Dataset();
+  CertCache Ram(/*MaxBytes=*/0);
+  testharness::GateStore Gate;
+  TieredStore Store(&Ram, &Gate);
+  CertServerConfig Config = smallConfig();
+  Config.Jobs = 2;
+  Config.Store = &Store;
+  CertServer Server(Train, Config);
+
+  Certificate Warm = Server.submit(point(9.5f), 2).get();
+  ASSERT_TRUE(Gate.waitForEntered(1));
+
+  Gate.close();
+  std::future<Certificate> Miss = Server.submit(point(20.0f), 3);
+  ASSERT_TRUE(Gate.waitForEntered(2));
+  std::future<Certificate> Hit = Server.submit(point(9.5f), 2);
+  EXPECT_EQ(Hit.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready)
+      << "a warm hit waited behind a miss pinned on another worker";
+  EXPECT_NE(Miss.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready); // The gate still holds it.
+  Gate.open();
+  Certificate Served = Hit.get();
+  EXPECT_EQ(Served.Kind, Warm.Kind);
+  EXPECT_EQ(Served.Seconds, Warm.Seconds); // Replayed, not re-verified.
+  Miss.get();
+  EXPECT_EQ(Ram.stats().Hits, 1u);
+}
+
+TEST(CertServerTest, OneWorkerCompletesInSubmissionOrderAcrossBudgets) {
+  // With one worker the queue is served strictly first in, first out,
+  // whatever each request's n: nothing regroups a backlog by budget.
+  Dataset Train = figure2Dataset();
+  std::mutex OrderMutex; // Outlives the server: callbacks write here.
+  std::vector<size_t> Order;
+  testharness::GateStore Gate;
+  CertServer Server(Train, gatedConfig(Gate));
+
+  // A blocker pins the worker, so the whole mixed-n burst is queued
+  // before any of it is served.
+  Gate.close();
+  std::future<Certificate> Blocker = Server.submit(point(20.0f), 3);
+  ASSERT_TRUE(Gate.waitForEntered(1));
+
+  const std::vector<uint32_t> Budgets = {4, 1, 4, 2};
+  std::vector<std::future<Certificate>> Futures;
+  for (size_t I = 0; I < Budgets.size(); ++I) {
+    CertServer::SubmitOptions Options;
+    Options.Completion = [&, I](const Certificate &) {
+      std::lock_guard<std::mutex> Guard(OrderMutex);
+      Order.push_back(I);
+    };
+    uint64_t Ticket = 0;
+    Futures.push_back(
+        Server.submit(point(0.5f + I), Budgets[I], Options, Ticket));
+  }
+  EXPECT_EQ(Server.pendingRequests(), 5u);
+  Gate.open();
+  Blocker.get();
+  Server.drain();
+
+  EXPECT_EQ(Order, (std::vector<size_t>{0, 1, 2, 3}));
+  for (size_t I = 0; I < Futures.size(); ++I)
+    EXPECT_EQ(Futures[I].get().PoisoningBudget, Budgets[I]);
 }

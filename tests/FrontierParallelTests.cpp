@@ -212,6 +212,17 @@ TEST(OrderedFanoutTest, TeardownDoesNotWaitForQueuedHelpers) {
   EXPECT_EQ(ComputeCalls.load(), Count);
 }
 
+TEST(ResolveJobsTest, ZeroMeansHardwareAndHugeValuesAreClamped) {
+  // One rule for every Jobs knob (sweeps, --all, CertServer workers);
+  // only the arithmetic is checked, so no thread is ever started.
+  unsigned Hardware = ThreadPool::hardwareConcurrency();
+  EXPECT_EQ(resolveJobs(0), Hardware);
+  EXPECT_EQ(resolveJobs(1), 1u);
+  EXPECT_EQ(resolveJobs(16 * Hardware), 16 * Hardware);
+  EXPECT_EQ(resolveJobs(16 * Hardware + 1), 16 * Hardware);
+  EXPECT_EQ(resolveJobs(~0u), 16 * Hardware);
+}
+
 //===----------------------------------------------------------------------===//
 // Serial vs parallel frontier stepping: bit-identical results
 //===----------------------------------------------------------------------===//

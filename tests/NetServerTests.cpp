@@ -33,7 +33,7 @@ namespace {
 
 std::vector<float> point(float X) { return std::vector<float>{X}; }
 
-/// Spin-waits (bounded) for \p Cond — the loop/dispatcher threads only
+/// Spin-waits (bounded) for \p Cond — the loop/worker threads only
 /// need to be observed, never nudged.
 template <typename Fn> bool eventually(Fn Cond, int TimeoutMillis = 30000) {
   auto Deadline = std::chrono::steady_clock::now() +
@@ -55,13 +55,12 @@ struct ServerStack {
   std::unique_ptr<NetServer> Net;
 
   explicit ServerStack(NetServerConfig NetConfig = NetServerConfig(),
-                       size_t MaxBatch = 64) {
+                       unsigned Jobs = 2) {
     CertServerConfig Config;
     Config.Query.Depth = 2;
     Config.Query.Domain = AbstractDomainKind::Disjuncts;
     Config.Query.Limits.TimeoutSeconds = 30.0;
-    Config.Jobs = 2;
-    Config.MaxBatch = MaxBatch;
+    Config.Jobs = Jobs;
     Config.Store = &Gate;
     Server = std::make_unique<CertServer>(Train, Config);
     NetConfig.Port = 0;
@@ -411,7 +410,7 @@ TEST(NetServerTest, SlowLorisCannotStallOtherClients) {
 }
 
 TEST(NetServerTest, DisconnectMidVerifyReleasesQueueSlotsAndCancels) {
-  ServerStack Stack(NetServerConfig(), /*MaxBatch=*/1);
+  ServerStack Stack(NetServerConfig(), /*Jobs=*/1);
   Stack.Gate.close();
 
   NetClient Doomed(Stack.port());
@@ -445,12 +444,12 @@ TEST(NetServerTest, DisconnectMidVerifyReleasesQueueSlotsAndCancels) {
 }
 
 TEST(NetServerTest, ExpiredDeadlineAnswersTimeoutWithoutVerifying) {
-  ServerStack Stack(NetServerConfig(), /*MaxBatch=*/1);
+  ServerStack Stack(NetServerConfig(), /*Jobs=*/1);
   Stack.Gate.close();
 
   NetClient Client(Stack.port());
   ASSERT_TRUE(Client.connected());
-  // A blocker occupies the dispatcher, then a 50ms-deadline request
+  // A blocker occupies the one worker, then a 50ms-deadline request
   // queues behind it for well over 50ms.
   ASSERT_TRUE(Client.send(makeRequest(0, 3, point(30.0f))));
   ASSERT_TRUE(Stack.Gate.waitForEntered(1));
